@@ -42,19 +42,37 @@ pub enum ProviderComponent {
     Wormhole,
 }
 
+/// The closed set of aggregation keys ([`ProviderComponent::key`]
+/// values), alphabetical — the slot order of [`AttributionTally`].
+pub const COMPONENT_KEYS: [&str; 7] = [
+    "base",
+    "corrector",
+    "loop",
+    "neural",
+    "tagged",
+    "unattributed",
+    "wormhole",
+];
+
 impl ProviderComponent {
     /// Coarse aggregation key: tagged banks collapse onto `"tagged"` so
     /// summaries stay readable (the per-bank detail remains in the
     /// enum for callers that want it).
     pub fn key(&self) -> &'static str {
+        COMPONENT_KEYS[self.slot()]
+    }
+
+    /// Position of this component's key in [`COMPONENT_KEYS`].
+    #[inline]
+    pub fn slot(&self) -> usize {
         match self {
-            ProviderComponent::Unattributed => "unattributed",
-            ProviderComponent::Base => "base",
-            ProviderComponent::Tagged(_) => "tagged",
-            ProviderComponent::Corrector => "corrector",
-            ProviderComponent::Neural => "neural",
-            ProviderComponent::Loop => "loop",
-            ProviderComponent::Wormhole => "wormhole",
+            ProviderComponent::Base => 0,
+            ProviderComponent::Corrector => 1,
+            ProviderComponent::Loop => 2,
+            ProviderComponent::Neural => 3,
+            ProviderComponent::Tagged(_) => 4,
+            ProviderComponent::Unattributed => 5,
+            ProviderComponent::Wormhole => 6,
         }
     }
 }
@@ -191,9 +209,106 @@ pub struct AttributionOutcome {
     pub loss: bool,
 }
 
+/// Per-component prediction outcomes over one run (or aggregate).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ComponentTally {
+    /// Predictions this component provided.
+    pub provided: u64,
+    /// Provided predictions that were correct.
+    pub correct: u64,
+    /// Provided predictions made with high confidence.
+    pub high_confidence: u64,
+    /// "Steals": provided correctly while the alternate path would have
+    /// mispredicted — the mispredictions this component removed.
+    pub saves: u64,
+    /// Provided wrongly while the alternate path would have been
+    /// correct — the mispredictions this component introduced.
+    pub losses: u64,
+}
+
+impl ComponentTally {
+    /// Fraction of provided predictions that were correct, or `None`
+    /// before any prediction.
+    pub fn accuracy(&self) -> Option<f64> {
+        (self.provided != 0).then(|| self.correct as f64 / self.provided as f64)
+    }
+
+    /// Net mispredictions removed by this component versus its
+    /// alternate path (saves − losses) — a per-component ablation
+    /// estimate without re-running the grid.
+    pub fn net_saves(&self) -> i64 {
+        self.saves as i64 - self.losses as i64
+    }
+
+    /// Merges another tally into this one.
+    pub fn merge(&mut self, other: &ComponentTally) {
+        self.provided += other.provided;
+        self.correct += other.correct;
+        self.high_confidence += other.high_confidence;
+        self.saves += other.saves;
+        self.losses += other.losses;
+    }
+}
+
+/// Prediction outcomes folded per aggregation key into a fixed array,
+/// one [`ComponentTally`] per [`COMPONENT_KEYS`] slot: the
+/// allocation-free accumulator behind every attributed block drive
+/// (one array index per branch instead of a map lookup).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AttributionTally {
+    slots: [ComponentTally; COMPONENT_KEYS.len()],
+}
+
+impl AttributionTally {
+    /// Folds one prediction in. `pred` is the final prediction, `taken`
+    /// the resolved outcome; the provider/save/loss split is
+    /// [`PredictionAttribution::classify`]'s.
+    #[inline]
+    pub fn record(&mut self, attribution: &PredictionAttribution, pred: bool, taken: bool) {
+        let tally = &mut self.slots[attribution.component.slot()];
+        let outcome = attribution.classify(pred, taken);
+        tally.provided += 1;
+        tally.correct += u64::from(outcome.correct);
+        tally.high_confidence += u64::from(outcome.high_confidence);
+        tally.saves += u64::from(outcome.save);
+        tally.losses += u64::from(outcome.loss);
+    }
+
+    /// Every component that provided at least one prediction, in key
+    /// (alphabetical) order.
+    pub fn components(&self) -> impl Iterator<Item = (&'static str, &ComponentTally)> {
+        COMPONENT_KEYS
+            .iter()
+            .zip(&self.slots)
+            .filter(|(_, t)| t.provided != 0)
+            .map(|(k, t)| (*k, t))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tally_slots_follow_key_order() {
+        let mut tally = AttributionTally::default();
+        let provider =
+            |component| PredictionAttribution::new(component, Some(false), ConfidenceBucket::High);
+        tally.record(&provider(ProviderComponent::Wormhole), true, true);
+        tally.record(&provider(ProviderComponent::Tagged(3)), true, true);
+        tally.record(&provider(ProviderComponent::Tagged(7)), false, true);
+        tally.record(&provider(ProviderComponent::Base), false, false);
+        let keys: Vec<&str> = tally.components().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["base", "tagged", "wormhole"]);
+        let tagged = tally.components().find(|(k, _)| *k == "tagged").unwrap().1;
+        assert_eq!(
+            (tagged.provided, tagged.correct, tagged.saves, tagged.losses),
+            (2, 1, 1, 0)
+        );
+        let mut sorted = COMPONENT_KEYS;
+        sorted.sort_unstable();
+        assert_eq!(sorted, COMPONENT_KEYS, "slot order is alphabetical");
+    }
 
     #[test]
     fn keys_are_stable_and_collapse_banks() {

@@ -19,7 +19,11 @@
 //!   accounting behind the paper's fixed-budget comparisons;
 //! * [`PredictionAttribution`]/[`ProviderComponent`] — the opt-in
 //!   instrumentation channel reporting which component provided each
-//!   prediction (consumed by `bp-sim`'s report layer);
+//!   prediction (consumed by `bp-sim`'s report layer), folded per
+//!   component by [`AttributionTally`];
+//! * [`TageFrontEnd`]/[`TagePlan`] — a TAGE host's index inputs and
+//!   index/tag hash, shareable by every same-geometry host of a fused
+//!   simulation column;
 //! * [`PredictorConfig`]/[`ConfigValue`] — the typed configuration
 //!   layer: every predictor family is buildable, validatable, and
 //!   serializable from data (consumed by `bp-sim`'s registry and its
@@ -33,17 +37,18 @@ mod bimodal;
 mod budget;
 mod config;
 mod counter;
+mod frontend;
 mod gshare;
 mod hash;
 mod kernel;
 mod loop_pred;
-mod pipeline;
 mod predictor;
 mod sum;
 mod threshold;
 
 pub use attribution::{
-    AttributionOutcome, ConfidenceBucket, PredictionAttribution, ProviderComponent,
+    AttributionOutcome, AttributionTally, ComponentTally, ConfidenceBucket, PredictionAttribution,
+    ProviderComponent, COMPONENT_KEYS,
 };
 pub use bimodal::{Bimodal, BimodalTable};
 pub use budget::{StorageBudget, StorageItem};
@@ -51,11 +56,11 @@ pub use config::{
     json_string, BimodalConfig, ConfigError, ConfigValue, GShareConfig, PredictorConfig,
 };
 pub use counter::SaturatingCounter;
+pub use frontend::{low_mask, TageFrontEnd, TagePlan, MAX_TAGE_TABLES};
 pub use gshare::GShare;
 pub use hash::{fold_u64, mix64, pc_bits};
 pub use kernel::{prefetch_read, sum_centered, sum_centered_padded, sum_i8, sum_i8_reference};
 pub use loop_pred::{LoopPrediction, LoopPredictor, LoopPredictorConfig};
-pub use pipeline::{clamp_pipeline_depth, DriveMode, DEFAULT_PIPELINE_DEPTH, MAX_PIPELINE_DEPTH};
 pub use predictor::{AlwaysTaken, ConditionalPredictor, PredictorStats};
 pub use sum::{CounterBank, SignedCounterTable, SumComponent, SumCtx};
 pub use threshold::AdaptiveThreshold;

@@ -1,7 +1,8 @@
 //! The simulator-facing predictor trait.
 
-use crate::attribution::PredictionAttribution;
+use crate::attribution::{AttributionTally, PredictionAttribution};
 use crate::budget::{StorageBudget, StorageItem};
+use crate::frontend::{TageFrontEnd, TagePlan};
 use bp_trace::BranchRecord;
 
 /// A conditional branch direction predictor, driven with the CBP protocol:
@@ -108,31 +109,9 @@ pub trait ConditionalPredictor: StorageBudget {
     /// body's `predict`/`update`/`notify_nonconditional` calls dispatch
     /// statically (and inline) inside the predictor's own copy, costing
     /// one virtual call per **block** instead of three per **record**.
-    ///
-    /// This is the [`DriveMode::Pipelined`](crate::DriveMode) entry
-    /// point: table-backed hosts override it with their decoupled
-    /// front-end/back-end block loop. Overrides must implement the
-    /// **identical protocol bit-for-bit** — same predictions, same
-    /// training, same post-run storage state as
-    /// [`run_block_scalar`](ConditionalPredictor::run_block_scalar) —
-    /// and be allocation-free in steady state; the pipelined
-    /// equivalence tests and the CI grid cmp pin the semantics. The
-    /// default is the scalar protocol.
+    /// The same holds for the other `run_block_*` drives below.
+    /// Implementations must not override it — it defines the protocol.
     fn run_block(&mut self, block: &[BranchRecord], stats: &mut PredictorStats) {
-        self.run_block_scalar(block, stats);
-    }
-
-    /// The reference scalar block drive: one record at a time with the
-    /// CBP protocol, including the one-record lookahead
-    /// [`prefetch`](ConditionalPredictor::prefetch) hint for predictors
-    /// that opt in via
-    /// [`wants_prefetch`](ConditionalPredictor::wants_prefetch).
-    ///
-    /// This is the [`DriveMode::Scalar`](crate::DriveMode) entry point
-    /// and the oracle the pipelined overrides are tested against.
-    /// Implementations must **never** override it — it defines the
-    /// protocol.
-    fn run_block_scalar(&mut self, block: &[BranchRecord], stats: &mut PredictorStats) {
         if self.wants_prefetch() {
             for (i, record) in block.iter().enumerate() {
                 // Peek one record ahead and hint its lookup rows so the
@@ -153,31 +132,111 @@ pub trait ConditionalPredictor: StorageBudget {
         }
     }
 
-    /// Runs only the pipelined *front-end* over `block`: index/tag
-    /// planning, prefetch issue, and the pure index-input advance — no
-    /// predictions, no prediction-dependent training.
-    ///
-    /// A benchmarking probe (the per-phase timing breakdown in
-    /// `bp bench --sim` times this pass alone, on a throwaway predictor
-    /// instance — the front end advances the index inputs, so a probed
-    /// predictor must not then be used for accuracy measurements); the
-    /// default for non-pipelined predictors does nothing.
-    fn run_block_frontend(&mut self, block: &[BranchRecord]) {
-        let _ = block;
+    /// [`run_block`](ConditionalPredictor::run_block) through the
+    /// attribution channel: every prediction comes from
+    /// [`predict_attributed`](ConditionalPredictor::predict_attributed)
+    /// and is folded into `tally` as well as `stats`.
+    fn run_block_attributed(
+        &mut self,
+        block: &[BranchRecord],
+        stats: &mut PredictorStats,
+        tally: &mut AttributionTally,
+    ) {
+        for record in block {
+            if record.is_conditional() {
+                let (pred, attribution) = self.predict_attributed(record.pc);
+                stats.record(pred == record.taken);
+                tally.record(&attribution, pred, record.taken);
+                self.update(record);
+            } else {
+                self.notify_nonconditional(record);
+            }
+        }
     }
 
-    /// Sets the pipeline distance D — how many branches the pipelined
-    /// front-end plans and prefetches ahead of the commit loop.
+    /// The TAGE front end this predictor's lookups run on, when it is a
+    /// TAGE-family host; `None` (the default) otherwise.
     ///
-    /// Implementations clamp to
-    /// [`1..=MAX_PIPELINE_DEPTH`](crate::MAX_PIPELINE_DEPTH) against
-    /// pre-sized scratch, so this never allocates and any depth is
-    /// safe. A pure performance knob: predictions are bit-identical at
-    /// every depth (the purity invariant — see [`crate::DriveMode`]).
-    /// The default (for predictors without a pipelined path) ignores
-    /// it.
-    fn set_pipeline_depth(&mut self, depth: usize) {
-        let _ = depth;
+    /// The simulator's fused-column drives group predictors whose front
+    /// ends compare equal — same index geometry, same history — run
+    /// one shared copy of that front end per group, and drive every
+    /// member through the `*_planned` methods below. The purity
+    /// invariant of [`TageFrontEnd`] makes this bit-identical to
+    /// driving each member alone.
+    fn front_end(&mut self) -> Option<&mut TageFrontEnd> {
+        None
+    }
+
+    /// Predicts the conditional branch at `pc` from `plan`, the shared
+    /// front end's output for this branch, and reports the providing
+    /// component like
+    /// [`predict_attributed`](ConditionalPredictor::predict_attributed).
+    ///
+    /// A TAGE host skips its own index phase and probes through the
+    /// planned rows; its own front end is neither read nor advanced. A
+    /// predictor without a front end owns every index input it reads,
+    /// so the default ignores the plan.
+    fn predict_planned(&mut self, pc: u64, plan: &TagePlan) -> (bool, PredictionAttribution) {
+        let _ = plan;
+        self.predict_attributed(pc)
+    }
+
+    /// Trains with the resolved outcome of the branch just predicted by
+    /// [`predict_planned`](ConditionalPredictor::predict_planned), and
+    /// advances every index input the shared front end does *not* own
+    /// (local histories, IMLI state). The default is
+    /// [`update`](ConditionalPredictor::update).
+    fn update_planned(&mut self, record: &BranchRecord) {
+        self.update(record);
+    }
+
+    /// The non-conditional counterpart of
+    /// [`update_planned`](ConditionalPredictor::update_planned). The
+    /// default is
+    /// [`notify_nonconditional`](ConditionalPredictor::notify_nonconditional).
+    fn notify_planned(&mut self, record: &BranchRecord) {
+        self.notify_nonconditional(record);
+    }
+
+    /// Commits a block from shared front-end plans (`plans[i]` is the
+    /// plan of `block[i]`; slots of non-conditional records are
+    /// ignored) with the CBP protocol of the `*_planned` methods.
+    fn run_block_planned(
+        &mut self,
+        block: &[BranchRecord],
+        plans: &[TagePlan],
+        stats: &mut PredictorStats,
+    ) {
+        for (record, plan) in block.iter().zip(plans) {
+            if record.is_conditional() {
+                let (pred, _) = self.predict_planned(record.pc, plan);
+                stats.record(pred == record.taken);
+                self.update_planned(record);
+            } else {
+                self.notify_planned(record);
+            }
+        }
+    }
+
+    /// [`run_block_planned`](ConditionalPredictor::run_block_planned)
+    /// that also folds every prediction into `tally`.
+    fn run_block_planned_attributed(
+        &mut self,
+        block: &[BranchRecord],
+        plans: &[TagePlan],
+        stats: &mut PredictorStats,
+        tally: &mut AttributionTally,
+    ) {
+        for (record, plan) in block.iter().zip(plans) {
+            if record.is_conditional() {
+                let (pred, attribution) = self.predict_planned(record.pc, plan);
+                stats.record(pred == record.taken);
+                tally.record(&attribution, pred, record.taken);
+                self.update_planned(record);
+            } else {
+                self.notify_planned(record);
+            }
+        }
     }
 
     /// A short human-readable configuration name, e.g. `"TAGE-GSC+IMLI"`.
@@ -185,7 +244,7 @@ pub trait ConditionalPredictor: StorageBudget {
 }
 
 /// One CBP-protocol step: predict/update a conditional record, notify a
-/// non-conditional one. Shared by the provided
+/// non-conditional one. Shared by both loops of the provided
 /// [`ConditionalPredictor::run_block`] so the per-record protocol cannot
 /// drift between the prefetching and plain loops.
 #[inline]
@@ -242,16 +301,48 @@ impl ConditionalPredictor for Box<dyn ConditionalPredictor + Send> {
         (**self).run_block(block, stats)
     }
 
-    fn run_block_scalar(&mut self, block: &[BranchRecord], stats: &mut PredictorStats) {
-        (**self).run_block_scalar(block, stats)
+    fn run_block_attributed(
+        &mut self,
+        block: &[BranchRecord],
+        stats: &mut PredictorStats,
+        tally: &mut AttributionTally,
+    ) {
+        (**self).run_block_attributed(block, stats, tally)
     }
 
-    fn run_block_frontend(&mut self, block: &[BranchRecord]) {
-        (**self).run_block_frontend(block)
+    fn front_end(&mut self) -> Option<&mut TageFrontEnd> {
+        (**self).front_end()
     }
 
-    fn set_pipeline_depth(&mut self, depth: usize) {
-        (**self).set_pipeline_depth(depth)
+    fn predict_planned(&mut self, pc: u64, plan: &TagePlan) -> (bool, PredictionAttribution) {
+        (**self).predict_planned(pc, plan)
+    }
+
+    fn update_planned(&mut self, record: &BranchRecord) {
+        (**self).update_planned(record)
+    }
+
+    fn notify_planned(&mut self, record: &BranchRecord) {
+        (**self).notify_planned(record)
+    }
+
+    fn run_block_planned(
+        &mut self,
+        block: &[BranchRecord],
+        plans: &[TagePlan],
+        stats: &mut PredictorStats,
+    ) {
+        (**self).run_block_planned(block, plans, stats)
+    }
+
+    fn run_block_planned_attributed(
+        &mut self,
+        block: &[BranchRecord],
+        plans: &[TagePlan],
+        stats: &mut PredictorStats,
+        tally: &mut AttributionTally,
+    ) {
+        (**self).run_block_planned_attributed(block, plans, stats, tally)
     }
 
     fn name(&self) -> &str {

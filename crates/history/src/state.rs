@@ -33,7 +33,7 @@ pub type FoldId = usize;
 /// hs.push(true, 0x400);
 /// assert_eq!(hs.fold(idx_fold) & 1, 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistoryState {
     global: GlobalHistory,
     path: PathHistory,

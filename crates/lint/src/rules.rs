@@ -220,15 +220,16 @@ pub fn default_policy() -> Policy {
             "crates/perceptron/src/lib.rs",
             "crates/components/src/sum.rs",
             "crates/components/src/kernel.rs",
-            "crates/components/src/pipeline.rs",
+            "crates/components/src/frontend.rs",
             "crates/components/src/predictor.rs",
             "crates/history/src/state.rs",
             "crates/sim/src/run.rs",
+            "crates/sim/src/shared.rs",
             "crates/workloads/src/combinators.rs",
         ],
         deterministic_modules: &[
             "crates/cache/src/lib.rs",
-            "crates/components/src/pipeline.rs",
+            "crates/sim/src/shared.rs",
             "crates/sim/src/cache.rs",
             "crates/sim/src/report.rs",
             "crates/sim/src/scenario.rs",

@@ -23,52 +23,15 @@ use crate::engine::{
 };
 use crate::registry::PredictorSpec;
 use crate::run::{fill_multi_block, Mpki, SimResult, MULTI_BLOCK_RECORDS};
-use bp_components::{ConditionalPredictor, PredictionAttribution, PredictorStats, StorageItem};
-use bp_trace::BranchStream;
+use crate::shared::{ColumnDrive, Tally};
+pub use bp_components::ComponentTally;
+use bp_components::{
+    AttributionTally, ConditionalPredictor, PredictorStats, StorageItem, COMPONENT_KEYS,
+};
+use bp_trace::{BranchRecord, BranchStream};
 use bp_workloads::BenchmarkSpec;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Per-component prediction outcomes over one run (or aggregate).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ComponentTally {
-    /// Predictions this component provided.
-    pub provided: u64,
-    /// Provided predictions that were correct.
-    pub correct: u64,
-    /// Provided predictions made with high confidence.
-    pub high_confidence: u64,
-    /// "Steals": provided correctly while the alternate path would have
-    /// mispredicted — the mispredictions this component removed.
-    pub saves: u64,
-    /// Provided wrongly while the alternate path would have been
-    /// correct — the mispredictions this component introduced.
-    pub losses: u64,
-}
-
-impl ComponentTally {
-    /// Fraction of provided predictions that were correct, or `None`
-    /// before any prediction.
-    pub fn accuracy(&self) -> Option<f64> {
-        (self.provided != 0).then(|| self.correct as f64 / self.provided as f64)
-    }
-
-    /// Net mispredictions removed by this component versus its
-    /// alternate path (saves − losses) — a per-component ablation
-    /// estimate without re-running the grid.
-    pub fn net_saves(&self) -> i64 {
-        self.saves as i64 - self.losses as i64
-    }
-
-    /// Merges another tally into this one.
-    pub fn merge(&mut self, other: &ComponentTally) {
-        self.provided += other.provided;
-        self.correct += other.correct;
-        self.high_confidence += other.high_confidence;
-        self.saves += other.saves;
-        self.losses += other.losses;
-    }
-}
 
 /// Prediction attribution folded per component key (see
 /// [`bp_components::ProviderComponent::key`]), in deterministic
@@ -79,18 +42,14 @@ pub struct AttributionSummary {
 }
 
 impl AttributionSummary {
-    /// Folds one prediction into the summary. `pred` is the final
-    /// prediction, `taken` the resolved outcome. The provider/save/loss
-    /// split is [`PredictionAttribution::classify`]'s — one definition
-    /// shared with the scenario layer's per-tenant tallies.
-    pub fn record(&mut self, attribution: &PredictionAttribution, pred: bool, taken: bool) {
-        let tally = self.tallies.entry(attribution.component.key()).or_default();
-        let outcome = attribution.classify(pred, taken);
-        tally.provided += 1;
-        tally.correct += u64::from(outcome.correct);
-        tally.high_confidence += u64::from(outcome.high_confidence);
-        tally.saves += u64::from(outcome.save);
-        tally.losses += u64::from(outcome.loss);
+    /// The summary of a drive's fixed-array tally: one entry per
+    /// component that provided at least one prediction.
+    pub(crate) fn from_tally(tally: &AttributionTally) -> Self {
+        let mut summary = AttributionSummary::default();
+        for (key, component) in tally.components() {
+            summary.tallies.insert(key, *component);
+        }
+        summary
     }
 
     /// Merges another summary into this one.
@@ -125,24 +84,11 @@ impl AttributionSummary {
     }
 }
 
-/// The closed set of provider-component keys
-/// ([`bp_components::ProviderComponent::key`] values plus
-/// `"unattributed"`), alphabetical. Cache decoding interns parsed
-/// attribution keys against this set so an [`AttributionSummary`] keeps
-/// its `&'static str` keys; an unknown key means the entry predates (or
-/// postdates) this build's component vocabulary and must be recomputed.
-pub(crate) const COMPONENT_KEYS: [&str; 7] = [
-    "base",
-    "corrector",
-    "loop",
-    "neural",
-    "tagged",
-    "unattributed",
-    "wormhole",
-];
-
-/// Interns `key` against [`COMPONENT_KEYS`]; `None` marks the whole
-/// cached entry undecodable.
+/// Interns `key` against the closed set of provider-component keys
+/// ([`COMPONENT_KEYS`]), so a decoded [`AttributionSummary`] keeps its
+/// `&'static str` keys; `None` means the entry predates (or postdates)
+/// this build's component vocabulary and the whole cached entry must be
+/// recomputed.
 pub(crate) fn intern_component_key(key: &str) -> Option<&'static str> {
     COMPONENT_KEYS.iter().find(|k| **k == key).copied()
 }
@@ -163,6 +109,16 @@ impl PhaseSummary {
     /// MPKI over this phase only.
     pub fn mpki(&self) -> f64 {
         Mpki::from_counts(self.stats.mispredicted, self.instructions).value()
+    }
+
+    /// The summary of one phase of a drive: `instructions` retired and
+    /// everything `tally` counted.
+    fn from_tally(instructions: u64, tally: &Tally) -> Self {
+        PhaseSummary {
+            instructions,
+            stats: tally.stats,
+            attribution: AttributionSummary::from_tally(&tally.attribution),
+        }
     }
 
     /// Merges another phase summary (e.g. the same phase of another
@@ -209,51 +165,91 @@ where
     S: BranchStream,
 {
     let benchmark = stream.name().to_owned();
-    let mut stats = PredictorStats::default();
-    let mut instructions = 0u64;
-    let mut records = 0u64;
-    let mut warmup = PhaseSummary::default();
-    let mut steady = PhaseSummary::default();
-    while let Some(record) = stream.next_record() {
-        instructions += record.instructions();
-        records += 1;
-        let phase = if instructions <= warmup_instructions {
-            &mut warmup
-        } else {
-            &mut steady
-        };
-        phase.instructions += record.instructions();
-        if record.is_conditional() {
-            let (pred, attribution) = predictor.predict_attributed(record.pc);
-            let correct = pred == record.taken;
-            stats.record(correct);
-            phase.stats.record(correct);
-            phase.attribution.record(&attribution, pred, record.taken);
-            predictor.update(&record);
-        } else {
-            predictor.notify_nonconditional(&record);
+    let mut phases = PhaseSplit::default();
+    let mut warmup = Tally::default();
+    let mut steady = Tally::default();
+    let mut block = Vec::with_capacity(MULTI_BLOCK_RECORDS);
+    loop {
+        let (warm, rest) = phases.fill(&mut stream, &mut block, warmup_instructions);
+        if warm.is_empty() && rest.is_empty() {
+            break;
+        }
+        predictor.run_block_attributed(warm, &mut warmup.stats, &mut warmup.attribution);
+        predictor.run_block_attributed(rest, &mut steady.stats, &mut steady.attribution);
+        if block.len() < MULTI_BLOCK_RECORDS {
+            break;
         }
     }
-    AttributedRun {
-        result: SimResult {
-            benchmark,
-            predictor: predictor.name().to_owned(),
-            instructions,
-            records,
-            stats,
-        },
+    phases.run(
+        benchmark,
+        predictor.name(),
         warmup_instructions,
-        warmup,
-        steady,
-    }
+        &warmup,
+        &steady,
+    )
 }
 
-/// Per-predictor accumulation state of one fused attributed pass.
+/// The stream bookkeeping of an attributed pass: running totals, and
+/// the per-block split at the warmup boundary.
 #[derive(Default)]
-struct MultiAccum {
-    stats: PredictorStats,
-    warmup: PhaseSummary,
-    steady: PhaseSummary,
+struct PhaseSplit {
+    instructions: u64,
+    records: u64,
+    warmup_instructions: u64,
+}
+
+impl PhaseSplit {
+    /// Refills `block` from `stream` and splits it at the warmup
+    /// boundary: the leading records whose running instruction count
+    /// (including the record) stays within `warmup` are warmup, the
+    /// rest steady state. The running count is a pure function of the
+    /// record sequence, so every predictor sees the identical split.
+    fn fill<'b, S: BranchStream>(
+        &mut self,
+        stream: &mut S,
+        block: &'b mut Vec<BranchRecord>,
+        warmup: u64,
+    ) -> (&'b [BranchRecord], &'b [BranchRecord]) {
+        let mut running = self.instructions;
+        fill_multi_block(stream, block, &mut self.instructions, &mut self.records);
+        let split = block
+            .iter()
+            .take_while(|r| {
+                running += r.instructions();
+                running <= warmup
+            })
+            .count();
+        self.warmup_instructions += block[..split]
+            .iter()
+            .map(BranchRecord::instructions)
+            .sum::<u64>();
+        block.split_at(split)
+    }
+
+    /// One predictor's [`AttributedRun`] from its two phase tallies.
+    fn run(
+        &self,
+        benchmark: String,
+        predictor: &str,
+        warmup_instructions: u64,
+        warmup: &Tally,
+        steady: &Tally,
+    ) -> AttributedRun {
+        let mut stats = warmup.stats;
+        stats.merge(&steady.stats);
+        AttributedRun {
+            result: SimResult {
+                benchmark,
+                predictor: predictor.to_owned(),
+                instructions: self.instructions,
+                records: self.records,
+                stats,
+            },
+            warmup_instructions,
+            warmup: PhaseSummary::from_tally(self.warmup_instructions, warmup),
+            steady: PhaseSummary::from_tally(self.instructions - self.warmup_instructions, steady),
+        }
+    }
 }
 
 /// [`simulate_stream_attributed`] for *several* predictors over **one**
@@ -261,13 +257,15 @@ struct MultiAccum {
 /// [`crate::simulate_stream_multi`], and the core of the fused report
 /// path.
 ///
-/// The stream is pulled once in blocks; each predictor consumes the
-/// whole block before the next (cache-friendly, exactly like the plain
-/// fused path). The warmup boundary is applied per record from the
-/// running instruction total, which is a pure function of the record
-/// sequence — so every predictor sees the identical warmup/steady
-/// split, and every returned [`AttributedRun`] is bit-identical to a
-/// solo [`simulate_stream_attributed`] over an equal stream.
+/// The stream is pulled once in blocks, and each block phase is driven
+/// through the same shared-front-end column drive as the plain fused
+/// path: TAGE hosts with equal front ends commit from one front-end
+/// pass, every other predictor consumes the whole block phase before
+/// the next. The warmup boundary is applied per record from the running
+/// instruction total, which is a pure function of the record sequence
+/// — so every predictor sees the identical warmup/steady split, and
+/// every returned [`AttributedRun`] is bit-identical to a solo
+/// [`simulate_stream_attributed`] over an equal stream.
 pub fn simulate_stream_attributed_multi<S>(
     predictors: &mut [Box<dyn ConditionalPredictor + Send>],
     mut stream: S,
@@ -277,56 +275,39 @@ where
     S: BranchStream,
 {
     let benchmark = stream.name().to_owned();
-    let mut accums: Vec<MultiAccum> = predictors.iter().map(|_| MultiAccum::default()).collect();
-    let mut instructions = 0u64;
-    let mut records = 0u64;
+    let mut phases = PhaseSplit::default();
+    let mut warmup = vec![Tally::default(); predictors.len()];
+    let mut steady = vec![Tally::default(); predictors.len()];
     let mut block = Vec::with_capacity(MULTI_BLOCK_RECORDS);
+    let mut drive = ColumnDrive::new(predictors);
     loop {
-        let block_start = instructions;
-        fill_multi_block(&mut stream, &mut block, &mut instructions, &mut records);
-        if block.is_empty() {
+        let (warm, rest) = phases.fill(&mut stream, &mut block, warmup_instructions);
+        if warm.is_empty() && rest.is_empty() {
             break;
         }
-        for (predictor, accum) in predictors.iter_mut().zip(accums.iter_mut()) {
-            let mut running = block_start;
-            for record in &block {
-                running += record.instructions();
-                let phase = if running <= warmup_instructions {
-                    &mut accum.warmup
-                } else {
-                    &mut accum.steady
-                };
-                phase.instructions += record.instructions();
-                if record.is_conditional() {
-                    let (pred, attribution) = predictor.predict_attributed(record.pc);
-                    let correct = pred == record.taken;
-                    accum.stats.record(correct);
-                    phase.stats.record(correct);
-                    phase.attribution.record(&attribution, pred, record.taken);
-                    predictor.update(record);
-                } else {
-                    predictor.notify_nonconditional(record);
-                }
+        for (records, tallies) in [(warm, &mut warmup), (rest, &mut steady)] {
+            if !records.is_empty() {
+                drive.drive(predictors, records, |i, predictor, records, plans| {
+                    tallies[i].commit(predictor, records, plans);
+                });
             }
         }
         if block.len() < MULTI_BLOCK_RECORDS {
             break;
         }
     }
+    drive.finish(predictors);
     predictors
         .iter()
-        .zip(accums)
-        .map(|(predictor, accum)| AttributedRun {
-            result: SimResult {
-                benchmark: benchmark.clone(),
-                predictor: predictor.name().to_owned(),
-                instructions,
-                records,
-                stats: accum.stats,
-            },
-            warmup_instructions,
-            warmup: accum.warmup,
-            steady: accum.steady,
+        .zip(warmup.iter().zip(&steady))
+        .map(|(predictor, (warmup, steady))| {
+            phases.run(
+                benchmark.clone(),
+                predictor.name(),
+                warmup_instructions,
+                warmup,
+                steady,
+            )
         })
         .collect()
 }

@@ -1,6 +1,7 @@
 //! Single-benchmark simulation.
 
-use bp_components::{ConditionalPredictor, DriveMode, PredictorStats};
+use crate::shared::{commit_plain, ColumnDrive};
+use bp_components::{ConditionalPredictor, PredictorStats};
 use bp_trace::{BranchStream, Trace};
 use std::fmt;
 
@@ -97,25 +98,11 @@ impl fmt::Display for Mpki {
 /// [`simulate_stream`], minus the per-record stream-cursor overhead,
 /// and bit-identical to it on the equivalent stream (the lookahead
 /// peek is `block[i + 1]` either way).
-pub fn simulate<P: ConditionalPredictor + ?Sized>(predictor: &mut P, trace: &Trace) -> SimResult {
-    simulate_mode(predictor, trace, DriveMode::default())
-}
-
-/// [`simulate`] with an explicit [`DriveMode`]: `Pipelined` drives the
-/// predictor's planned front-end/back-end block loop
-/// ([`ConditionalPredictor::run_block`]), `Scalar` the reference
-/// per-record protocol ([`ConditionalPredictor::run_block_scalar`]).
-/// The two produce bit-identical results for every predictor in the
-/// registry (`tests/pipelined_equivalence.rs`).
 // bp-lint: allow-item(hot-path-alloc, "per-run setup and result assembly, once per benchmark; the per-branch loop is drive_block, which is allocation-free (tests/hotpath_allocations.rs)")
-pub fn simulate_mode<P: ConditionalPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-    mode: DriveMode,
-) -> SimResult {
+pub fn simulate<P: ConditionalPredictor + ?Sized>(predictor: &mut P, trace: &Trace) -> SimResult {
     let records = trace.records();
     let mut stats = PredictorStats::default();
-    drive_block_mode(predictor, records, &mut stats, mode);
+    drive_block(predictor, records, &mut stats);
     SimResult {
         benchmark: trace.name().to_owned(),
         predictor: predictor.name().to_owned(),
@@ -134,23 +121,14 @@ pub fn simulate_mode<P: ConditionalPredictor + ?Sized>(
 /// This is the simulator's native entry point: paired with a streaming
 /// producer (`bp_workloads::stream_benchmark`, `bp_trace::TraceReader`)
 /// it runs a benchmark of any length in O(`MULTI_BLOCK_RECORDS`)
-/// memory — the stream is pulled in blocks so the predictor's block
-/// drive (pipelined by default, see [`DriveMode`]) gets whole-record
-/// slices to plan over. Produces bit-identical [`SimResult`]s to
-/// [`simulate`] on the materialized equivalent of the same stream: the
-/// only cross-block difference is prefetch-hint timing, and
-/// [`ConditionalPredictor::prefetch`] is architecturally a no-op.
-pub fn simulate_stream<P, S>(predictor: &mut P, stream: S) -> SimResult
-where
-    P: ConditionalPredictor + ?Sized,
-    S: BranchStream,
-{
-    simulate_stream_mode(predictor, stream, DriveMode::default())
-}
-
-/// [`simulate_stream`] with an explicit [`DriveMode`].
+/// memory — the stream is pulled in blocks so the predictor's
+/// monomorphized block drive gets whole-record slices. Produces
+/// bit-identical [`SimResult`]s to [`simulate`] on the materialized
+/// equivalent of the same stream: the only cross-block difference is
+/// prefetch-hint timing, and [`ConditionalPredictor::prefetch`] is
+/// architecturally a no-op.
 // bp-lint: allow-item(hot-path-alloc, "per-run setup, block buffer, and result assembly, once per benchmark; the per-branch loop is drive_block, which is allocation-free (tests/hotpath_allocations.rs)")
-pub fn simulate_stream_mode<P, S>(predictor: &mut P, mut stream: S, mode: DriveMode) -> SimResult
+pub fn simulate_stream<P, S>(predictor: &mut P, mut stream: S) -> SimResult
 where
     P: ConditionalPredictor + ?Sized,
     S: BranchStream,
@@ -165,7 +143,7 @@ where
         if block.is_empty() {
             break;
         }
-        drive_block_mode(predictor, &block, &mut stats, mode);
+        drive_block(predictor, &block, &mut stats);
         if block.len() < MULTI_BLOCK_RECORDS {
             break;
         }
@@ -229,60 +207,32 @@ pub fn drive_block<P: ConditionalPredictor + ?Sized>(
     predictor.run_block(block, stats);
 }
 
-/// [`drive_block`] with an explicit [`DriveMode`]:
-/// [`DriveMode::Pipelined`] dispatches the predictor's (possibly
-/// overridden, history-ahead) [`ConditionalPredictor::run_block`],
-/// [`DriveMode::Scalar`] the reference per-record loop
-/// ([`ConditionalPredictor::run_block_scalar`]), which no predictor may
-/// override. Bit-identical by contract; `tests/pipelined_equivalence.rs`
-/// pins it for every registry configuration.
-#[inline]
-pub fn drive_block_mode<P: ConditionalPredictor + ?Sized>(
-    predictor: &mut P,
-    block: &[bp_trace::BranchRecord],
-    stats: &mut PredictorStats,
-    mode: DriveMode,
-) {
-    match mode {
-        DriveMode::Pipelined => predictor.run_block(block, stats),
-        DriveMode::Scalar => predictor.run_block_scalar(block, stats),
-    }
-}
-
 /// Simulates *several* predictors over **one** pass of a
 /// [`BranchStream`] with the CBP protocol — the shared-decode core of
 /// the engine's fused column mode.
 ///
 /// The stream is pulled once, in blocks of 4096 records
-/// (`MULTI_BLOCK_RECORDS`); each predictor consumes the whole block before the
-/// next predictor starts. Per-record broadcast (predictor-inner loop)
-/// would touch every predictor's tables on every record and thrash the
-/// cache; the blocked sweep keeps one predictor's working set hot for
+/// (`MULTI_BLOCK_RECORDS`), and each block is driven through a
+/// shared-front-end column drive: TAGE hosts with equal front ends
+/// share one front-end pass per 512-record chunk and commit from its
+/// plans, every other predictor consumes the whole block before the
+/// next starts. Per-record broadcast (predictor-inner loop) would touch
+/// every predictor's tables on every record and thrash the cache; the
+/// blocked sweep keeps one predictor's working set hot for hundreds to
 /// thousands of records while still generating/decoding the stream
 /// exactly once instead of `N` times.
 ///
 /// Because the predictors are independent state machines driven with
-/// the identical record sequence, the returned results are
+/// the identical record sequence, and a shared front end computes
+/// exactly what each member's own would, the returned results are
 /// **bit-identical** to running [`simulate_stream`] once per predictor
-/// over equal streams.
+/// over equal streams — and so is every predictor's state afterwards.
 ///
 /// Returns one [`SimResult`] per predictor, in input order.
+// bp-lint: allow-item(hot-path-alloc, "per-run block buffer, column setup and result assembly, amortized over whole blocks; the per-branch loop is allocation-free (tests/hotpath_allocations.rs)")
 pub fn simulate_stream_multi<S>(
     predictors: &mut [Box<dyn ConditionalPredictor + Send>],
-    stream: S,
-) -> Vec<SimResult>
-where
-    S: BranchStream,
-{
-    simulate_stream_multi_mode(predictors, stream, DriveMode::default())
-}
-
-/// [`simulate_stream_multi`] with an explicit [`DriveMode`].
-// bp-lint: allow-item(hot-path-alloc, "per-run block buffer and result assembly, amortized over whole blocks; the per-branch loop is drive_block, which is allocation-free")
-pub fn simulate_stream_multi_mode<S>(
-    predictors: &mut [Box<dyn ConditionalPredictor + Send>],
     mut stream: S,
-    mode: DriveMode,
 ) -> Vec<SimResult>
 where
     S: BranchStream,
@@ -292,18 +242,20 @@ where
     let mut instructions = 0u64;
     let mut records = 0u64;
     let mut block = Vec::with_capacity(MULTI_BLOCK_RECORDS);
+    let mut drive = ColumnDrive::new(predictors);
     loop {
         fill_multi_block(&mut stream, &mut block, &mut instructions, &mut records);
         if block.is_empty() {
             break;
         }
-        for (predictor, stats) in predictors.iter_mut().zip(stats.iter_mut()) {
-            drive_block_mode(predictor, &block, stats, mode);
-        }
+        drive.drive(predictors, &block, |i, predictor, records, plans| {
+            commit_plain(predictor, records, plans, &mut stats[i]);
+        });
         if block.len() < MULTI_BLOCK_RECORDS {
             break;
         }
     }
+    drive.finish(predictors);
     predictors
         .iter()
         .zip(stats)

@@ -32,10 +32,11 @@ use crate::engine::{
 use crate::registry::{lookup, PredictorSpec};
 use crate::report::AttributionSummary;
 use crate::run::{simulate_stream, Mpki};
+use crate::shared::{ColumnDrive, Tally};
 use bp_components::{
     json_string as json_str, ConditionalPredictor, ConfigError, ConfigValue, PredictorStats,
 };
-use bp_trace::BranchStream;
+use bp_trace::{BranchRecord, BranchStream};
 use bp_workloads::{
     context_switch, find_benchmark, interleave, EventStream, FlushMode, Genome, InterleaveSchedule,
     ScenarioEvent,
@@ -409,20 +410,16 @@ impl ScenarioRun {
 /// record-block fusion in `bp-sim`'s grid core.
 const SCENARIO_BLOCK_EVENTS: usize = 4096;
 
-/// Per-predictor accumulation state of one fused scenario pass.
-struct ScenarioAccum {
-    stats: PredictorStats,
-    flushes: u64,
-    tenants: Vec<TenantTally>,
-}
-
 /// Drives every predictor through **one** pass of the scenario's event
 /// stream — the scenario twin of the fused grid path. Events are
-/// pulled once in blocks; each predictor consumes the whole block
-/// before the next. Flush events apply per predictor in stream
-/// position: a partial flush calls
-/// [`ConditionalPredictor::flush_history`], a full flush rebuilds the
-/// predictor cold from its spec.
+/// pulled once in blocks, and each block is split into runs of one
+/// tenant's records at every tenant switch and flush. Each run is
+/// driven through the shared-front-end column drive (TAGE hosts with
+/// equal front ends commit from one front-end pass; everyone else runs
+/// solo) into the tenant's tallies. A flush applies to every predictor
+/// and every shared front end at its stream position: a partial flush
+/// calls [`ConditionalPredictor::flush_history`], a full flush rebuilds
+/// the predictor cold from its spec.
 ///
 /// The result is a pure function of `(specs, events)` — identical
 /// across runs, worker counts, and against one-predictor-at-a-time
@@ -434,17 +431,14 @@ pub fn simulate_scenario_multi(
     let tenant_count = events.tenant_count() as usize;
     let mut predictors: Vec<Box<dyn ConditionalPredictor + Send>> =
         specs.iter().map(PredictorSpec::make).collect();
-    let mut accums: Vec<ScenarioAccum> = specs
-        .iter()
-        .map(|_| ScenarioAccum {
-            stats: PredictorStats::default(),
-            flushes: 0,
-            tenants: vec![TenantTally::default(); tenant_count],
-        })
-        .collect();
+    let mut tallies = vec![vec![Tally::default(); tenant_count]; specs.len()];
+    let mut tenant_instructions = vec![0u64; tenant_count];
     let mut block: Vec<ScenarioEvent> = Vec::with_capacity(SCENARIO_BLOCK_EVENTS);
+    let mut run: Vec<BranchRecord> = Vec::with_capacity(SCENARIO_BLOCK_EVENTS);
+    let mut drive = ColumnDrive::new(&mut predictors);
     let mut instructions = 0u64;
     let mut records = 0u64;
+    let mut flushes = 0u64;
     loop {
         block.clear();
         while block.len() < SCENARIO_BLOCK_EVENTS {
@@ -456,58 +450,77 @@ pub fn simulate_scenario_multi(
         if block.is_empty() {
             break;
         }
-        for ev in &block {
-            if let ScenarioEvent::Record { record, .. } = ev {
-                instructions += record.instructions();
-                records += 1;
-            }
-        }
-        for ((spec, predictor), accum) in specs
-            .iter()
-            .zip(predictors.iter_mut())
-            .zip(accums.iter_mut())
-        {
-            for ev in &block {
-                match ev {
-                    ScenarioEvent::Record { record, tenant } => {
-                        let tally = &mut accum.tenants[*tenant as usize];
-                        tally.instructions += record.instructions();
-                        if record.is_conditional() {
-                            let (pred, attribution) = predictor.predict_attributed(record.pc);
-                            let correct = pred == record.taken;
-                            accum.stats.record(correct);
-                            tally.stats.record(correct);
-                            tally.attribution.record(&attribution, pred, record.taken);
-                            predictor.update(record);
-                        } else {
-                            predictor.notify_nonconditional(record);
+        let mut next = 0;
+        while let Some(event) = block.get(next) {
+            let tenant = match *event {
+                ScenarioEvent::Record { tenant, .. } => tenant,
+                ScenarioEvent::Flush(mode) => {
+                    next += 1;
+                    flushes += 1;
+                    match mode {
+                        FlushMode::Partial => {
+                            for predictor in &mut predictors {
+                                predictor.flush_history();
+                            }
+                            drive.flush();
+                        }
+                        FlushMode::Full => {
+                            for (spec, predictor) in specs.iter().zip(&mut predictors) {
+                                *predictor = spec.make();
+                            }
+                            drive.reload(&mut predictors);
                         }
                     }
-                    ScenarioEvent::Flush(FlushMode::Partial) => {
-                        predictor.flush_history();
-                        accum.flushes += 1;
-                    }
-                    ScenarioEvent::Flush(FlushMode::Full) => {
-                        *predictor = spec.make();
-                        accum.flushes += 1;
-                    }
+                    continue;
                 }
+            };
+            run.clear();
+            while let Some(&ScenarioEvent::Record { record, tenant: t }) = block.get(next) {
+                if t != tenant {
+                    break;
+                }
+                run.push(record);
+                next += 1;
             }
+            let t = tenant as usize;
+            let run_instructions: u64 = run.iter().map(BranchRecord::instructions).sum();
+            tenant_instructions[t] += run_instructions;
+            instructions += run_instructions;
+            records += run.len() as u64;
+            drive.drive(&mut predictors, &run, |i, predictor, records, plans| {
+                tallies[i][t].commit(predictor, records, plans);
+            });
         }
         if block.len() < SCENARIO_BLOCK_EVENTS {
             break;
         }
     }
+    drive.finish(&mut predictors);
     predictors
         .iter()
-        .zip(accums)
-        .map(|(predictor, accum)| ScenarioRun {
-            predictor: predictor.name().to_owned(),
-            instructions,
-            records,
-            stats: accum.stats,
-            flushes: accum.flushes,
-            tenants: accum.tenants,
+        .zip(tallies)
+        .map(|(predictor, tallies)| {
+            let mut stats = PredictorStats::default();
+            let tenants = tallies
+                .iter()
+                .zip(&tenant_instructions)
+                .map(|(tally, &instructions)| {
+                    stats.merge(&tally.stats);
+                    TenantTally {
+                        instructions,
+                        stats: tally.stats,
+                        attribution: AttributionSummary::from_tally(&tally.attribution),
+                    }
+                })
+                .collect();
+            ScenarioRun {
+                predictor: predictor.name().to_owned(),
+                instructions,
+                records,
+                stats,
+                flushes,
+                tenants,
+            }
         })
         .collect()
 }

@@ -1,11 +1,11 @@
 //! The composed TAGE + SC (+ loop predictor) predictors of the paper.
 
 use crate::sc::{LocalScConfig, ScConfig, ScLookup, StatisticalCorrector};
-use crate::tage::{Tage, TageConfig, TageLookup, TagePlan};
+use crate::tage::{Tage, TageConfig, TageLookup};
 use bp_components::{
-    clamp_pipeline_depth, ConditionalPredictor, ConfidenceBucket, ConfigError, ConfigValue,
-    LoopPredictor, LoopPredictorConfig, PredictionAttribution, PredictorConfig, PredictorStats,
-    ProviderComponent, StorageBudget, StorageItem, DEFAULT_PIPELINE_DEPTH, MAX_PIPELINE_DEPTH,
+    low_mask, ConditionalPredictor, ConfidenceBucket, ConfigError, ConfigValue, LoopPredictor,
+    LoopPredictorConfig, PredictionAttribution, PredictorConfig, ProviderComponent, StorageBudget,
+    StorageItem, TageFrontEnd, TagePlan,
 };
 use bp_trace::BranchRecord;
 use imli::{ImliCheckpoint, ImliConfig};
@@ -200,14 +200,6 @@ pub struct TageSc {
     name: String,
     last_pred: bool,
     ghist_window: usize,
-    /// Pipeline distance D of the pipelined block drive: how many
-    /// branches the front end plans (and prefetches) ahead of the
-    /// commit loop.
-    pipeline_depth: usize,
-    /// Per-chunk plan scratch of the pipelined drive, pre-sized to the
-    /// maximum depth at construction (`TagePlan` is `Copy`, so this is
-    /// one inline array — no steady-state allocation, no heap at all).
-    plans: [TagePlan; MAX_PIPELINE_DEPTH],
 }
 
 impl TageSc {
@@ -225,8 +217,6 @@ impl TageSc {
             name: config.name,
             last_pred: false,
             ghist_window: max_global.min(64),
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
-            plans: [TagePlan::default(); MAX_PIPELINE_DEPTH],
         }
     }
 
@@ -278,9 +268,9 @@ impl TageSc {
 
     /// Everything downstream of the TAGE and corrector lookups: the
     /// possible corrector revert, loop override, attribution. One
-    /// function behind both the scalar path (lookups from architectural
-    /// state) and the pipelined path (lookups through front-end plans),
-    /// so the decision flow cannot diverge between drive modes.
+    /// function behind the solo path (lookups from this predictor's own
+    /// front end) and the planned path (lookups through a shared
+    /// front end's plans), so the decision flow cannot diverge.
     #[inline]
     fn finish_predict(
         &mut self,
@@ -325,75 +315,6 @@ impl TageSc {
         self.last_pred = pred;
         (pred, attribution)
     }
-
-    /// The pipelined front end over one chunk of up to `pipeline_depth`
-    /// records: for every conditional, plan the TAGE row addresses and
-    /// the corrector's history-indexed rows from the architectural
-    /// state (prefetching them), hint the bias and loop rows — then
-    /// advance the architectural index inputs past the record.
-    /// Advancing the real state here (instead of replaying a shadow
-    /// copy) is what the purity invariant buys: the history-fold work
-    /// runs **once** per branch, same as the scalar drive, just earlier
-    /// — [`TageSc::train_planned`] never touches an index input.
-    #[inline]
-    fn plan_chunk(&mut self, chunk: &[BranchRecord]) {
-        for (row, record) in chunk.iter().enumerate() {
-            if record.is_conditional() {
-                self.tage.plan_conditional(record.pc, &mut self.plans[row]);
-                let ghist = self.tage.history().global().low_bits(self.ghist_window);
-                let path = self.tage.history().path();
-                self.sc.plan_row(row, record.pc, ghist, path);
-                // The bias/loop rows are functions of the PC (and the
-                // running prediction bias), so they need no plan — hint
-                // them directly, chunk-depth branches early.
-                self.sc.prefetch(record.pc, self.last_pred);
-                if let Some(lp) = &self.loop_pred {
-                    lp.prefetch(record.pc);
-                }
-                self.advance_conditional(record);
-            } else {
-                self.advance_nonconditional(record);
-            }
-        }
-    }
-
-    /// The prediction-dependent half of [`ConditionalPredictor::update`]:
-    /// loop-table training, corrector training through the stashed
-    /// lookup, TAGE allocation/training through the stashed lookup.
-    /// Never touches an index input, so the pipelined commit loop can
-    /// run it after the front end has advanced the histories.
-    #[inline]
-    fn train_planned(&mut self, record: &BranchRecord) {
-        let mispredicted = self.last_pred != record.taken;
-        if let Some(lp) = &mut self.loop_pred {
-            // Allocate only for backward (loop-closing) branches so that
-            // mispredicting forward branches cannot thrash the small
-            // loop table.
-            lp.update(
-                record.pc,
-                record.taken,
-                mispredicted && record.is_backward(),
-            );
-        }
-        self.sc.update(record.taken);
-        self.tage.update(record.pc, record.taken);
-    }
-
-    /// Advances every index input past a conditional record — the pure
-    /// half of [`ConditionalPredictor::update`].
-    #[inline]
-    fn advance_conditional(&mut self, record: &BranchRecord) {
-        self.sc.observe(record);
-        self.tage.push_history(record.pc, record.taken);
-    }
-
-    /// Advances every index input past a non-conditional record — the
-    /// whole of [`ConditionalPredictor::notify_nonconditional`].
-    #[inline]
-    fn advance_nonconditional(&mut self, record: &BranchRecord) {
-        self.sc.observe(record);
-        self.tage.push_path(record.pc);
-    }
 }
 
 impl ConditionalPredictor for TageSc {
@@ -420,12 +341,11 @@ impl ConditionalPredictor for TageSc {
         self.predict_full(pc)
     }
 
+    // The solo protocol is the planned one plus this predictor's own
+    // front-end advance, so the two cannot diverge.
     fn update(&mut self, record: &BranchRecord) {
-        // The scalar protocol is literally train-then-advance — the
-        // same two halves the pipelined drive runs at commit and plan
-        // time respectively, so the two drives cannot diverge.
-        self.train_planned(record);
-        self.advance_conditional(record);
+        self.update_planned(record);
+        self.tage.push_history(record.pc, record.taken);
     }
 
     fn flush_history(&mut self) {
@@ -434,49 +354,49 @@ impl ConditionalPredictor for TageSc {
     }
 
     fn notify_nonconditional(&mut self, record: &BranchRecord) {
-        self.advance_nonconditional(record);
+        self.notify_planned(record);
+        self.tage.push_path(record.pc);
     }
 
-    /// The pipelined block drive (`DriveMode::Pipelined`): per chunk of
-    /// `pipeline_depth` records, a front-end pass plans every upcoming
-    /// conditional's table addresses (issuing their prefetches a full
-    /// chunk early) and advances the architectural index inputs, then
-    /// the commit pass predicts through the precomputed addresses and
-    /// performs the prediction-dependent training, in trace order.
-    ///
-    /// Bit-identical to [`run_block_scalar`] by the purity invariant —
-    /// index inputs evolve only with the trace's `(PC, outcome)` stream,
-    /// so capturing them at plan time of branch *i* (after branches
-    /// `< i` advanced them) reads exactly the state the scalar drive
-    /// would at predict time, and the commit pass is the same
-    /// train-then-gather code the scalar path runs. Allocation-free in
-    /// steady state: the plan scratch is pre-sized at construction.
-    ///
-    /// [`run_block_scalar`]: ConditionalPredictor::run_block_scalar
-    fn run_block(&mut self, block: &[BranchRecord], stats: &mut PredictorStats) {
-        for chunk in block.chunks(self.pipeline_depth) {
-            self.plan_chunk(chunk);
-            for (row, record) in chunk.iter().enumerate() {
-                if record.is_conditional() {
-                    let plan = self.plans[row];
-                    let tl = self.tage.lookup_planned(record.pc, &plan);
-                    let sl = self.sc.predict_planned(row, tl.pred, tl.low_confidence);
-                    let (pred, _) = self.finish_predict(record.pc, tl, sl);
-                    stats.record(pred == record.taken);
-                    self.train_planned(record);
-                }
-            }
+    fn front_end(&mut self) -> Option<&mut TageFrontEnd> {
+        Some(self.tage.front_end())
+    }
+
+    /// [`ConditionalPredictor::predict`] with the TAGE index phase and
+    /// history views taken from `plan` instead of this predictor's own
+    /// front end. The corrector still computes its own rows: its
+    /// geometry, local histories and IMLI state are per-config.
+    fn predict_planned(&mut self, pc: u64, plan: &TagePlan) -> (bool, PredictionAttribution) {
+        let tl = self.tage.lookup_planned(pc, plan);
+        let ghist = plan.ghist & low_mask(self.ghist_window);
+        let sl = self
+            .sc
+            .predict(pc, tl.pred, tl.low_confidence, ghist, plan.path);
+        self.finish_predict(pc, tl, sl)
+    }
+
+    /// Trains the loop predictor, corrector and TAGE tables through
+    /// the stashed lookups, then advances the corrector's own index
+    /// inputs. The TAGE histories belong to the front end.
+    fn update_planned(&mut self, record: &BranchRecord) {
+        let mispredicted = self.last_pred != record.taken;
+        if let Some(lp) = &mut self.loop_pred {
+            // Allocate only for backward (loop-closing) branches so that
+            // mispredicting forward branches cannot thrash the small
+            // loop table.
+            lp.update(
+                record.pc,
+                record.taken,
+                mispredicted && record.is_backward(),
+            );
         }
+        self.sc.update(record.taken);
+        self.tage.update(record.pc, record.taken);
+        self.sc.observe(record);
     }
 
-    fn run_block_frontend(&mut self, block: &[BranchRecord]) {
-        for chunk in block.chunks(self.pipeline_depth) {
-            self.plan_chunk(chunk);
-        }
-    }
-
-    fn set_pipeline_depth(&mut self, depth: usize) {
-        self.pipeline_depth = clamp_pipeline_depth(depth);
+    fn notify_planned(&mut self, record: &BranchRecord) {
+        self.sc.observe(record);
     }
 
     fn name(&self) -> &str {

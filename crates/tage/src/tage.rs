@@ -1,7 +1,8 @@
 //! The TAGE predictor (Seznec & Michaud 2006; Seznec 2011).
 
+pub use bp_components::MAX_TAGE_TABLES;
 use bp_components::{
-    pc_bits, BimodalTable, ConfigError, ConfigValue, SaturatingCounter, StorageItem,
+    BimodalTable, ConfigError, ConfigValue, SaturatingCounter, StorageItem, TageFrontEnd, TagePlan,
 };
 use bp_history::HistoryState;
 
@@ -48,15 +49,6 @@ impl Default for TageConfig {
         }
     }
 }
-
-/// Compile-time bound on the number of tagged tables.
-///
-/// [`TageLookup`] carries per-table indices and tags in fixed-capacity
-/// inline arrays sized by this constant, so the per-branch lookup is a
-/// plain `Copy` value — no heap allocation anywhere on the
-/// predict/update path. 16 comfortably covers every published TAGE
-/// geometry (the paper's is 12 tables; CBP winners use 12-15).
-pub const MAX_TAGE_TABLES: usize = 16;
 
 impl TageConfig {
     /// Number of tagged tables.
@@ -135,6 +127,23 @@ impl TageConfig {
             .map(|&tag| entries * (self.counter_bits + self.useful_bits + tag) as u64)
             .sum();
         base + base / BimodalTable::HYST_SHARE as u64 + tagged + 4
+    }
+
+    /// The front end (index inputs and index/tag hash) of a TAGE with
+    /// this geometry. Configurations that agree on the tagged-table
+    /// geometry, history series and path width build equal front ends.
+    // bp-lint: allow-item(hot-path-alloc, "front-end construction is cold, once per predictor or fused column")
+    pub fn front_end(&self) -> TageFrontEnd {
+        let lengths: Vec<usize> = (0..self.num_tables())
+            .map(|i| self.history_length(i))
+            .collect();
+        TageFrontEnd::new(
+            self.tagged_log_entries,
+            self.path_bits,
+            self.max_history,
+            &lengths,
+            &self.tag_bits,
+        )
     }
 
     /// Serializes as a [`ConfigValue`] object.
@@ -280,30 +289,6 @@ impl TageLookup {
     }
 }
 
-/// Planned table addresses for one upcoming conditional branch,
-/// computed by the pipelined front end from the architectural history
-/// *before* it advances past the branch (see
-/// [`Tage::plan_conditional`]) — exactly what [`Tage::lookup`] would
-/// compute at that point in the trace, just captured earlier so the
-/// rows can be prefetched while other branches commit.
-///
-/// A plain `Copy` value like [`TageLookup`], so per-block plan scratch
-/// is a flat pre-sized array and planning never touches the heap.
-#[derive(Debug, Clone, Copy)]
-pub struct TagePlan {
-    indices: [u32; MAX_TAGE_TABLES],
-    tags: [u16; MAX_TAGE_TABLES],
-}
-
-impl Default for TagePlan {
-    fn default() -> Self {
-        TagePlan {
-            indices: [0; MAX_TAGE_TABLES],
-            tags: [0; MAX_TAGE_TABLES],
-        }
-    }
-}
-
 /// The TAGE predictor: a bimodal base plus `N` partially tagged tables
 /// indexed with geometrically increasing global-history folds; the
 /// longest history match provides the prediction (PPM-like prediction by
@@ -322,36 +307,13 @@ pub struct Tage {
     /// One allocation instead of `N` keeps bank probes on the same
     /// cache-friendly backing and removes a pointer chase per probe.
     tables: Vec<TaggedEntry>,
-    history: HistoryState,
-    index_folds: Vec<usize>,
-    tag_folds: Vec<(usize, usize)>,
-    // Per-table constants hoisted out of the per-branch loops (the
-    // geometric history_length() involves a powf; computing it per
-    // branch per table dominated the original lookup profile).
-    /// `log2(entries) - (i % log2(entries))`: the PC-fold shift.
-    pc_shifts: [u32; MAX_TAGE_TABLES],
-    /// Path-history mask for `min(history_length(i), path_bits)` bits.
-    path_masks: [u64; MAX_TAGE_TABLES],
-    /// `(1 << tag_bits[i]) - 1`.
-    tag_masks: [u16; MAX_TAGE_TABLES],
+    /// The index inputs and index/tag hash (see [`TageFrontEnd`]).
+    front: TageFrontEnd,
     use_alt_on_na: SaturatingCounter,
     tick: u64,
     reset_msb: bool,
     alloc_seed: u64,
     lookup: Option<TageLookup>,
-}
-
-/// The low `bits` bits set, saturating at the full word — the guard for
-/// path-history masks, where a legal 64-bit configuration would
-/// otherwise hit `1u64 << 64` (shift overflow; the same bug class as
-/// `FoldedHistory::set_value`'s 32-bit escape hatch).
-#[inline]
-fn low_mask(bits: usize) -> u64 {
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
 }
 
 impl Tage {
@@ -363,23 +325,7 @@ impl Tage {
     // bp-lint: allow-item(hot-path-alloc, "table construction is cold; steady-state predict/update is allocation-free (tests/hotpath_allocations.rs)")
     pub fn new(config: TageConfig) -> Self {
         config.validate();
-        let capacity = (config.max_history + 1).next_power_of_two().max(2048);
-        let mut history = HistoryState::new(capacity, config.path_bits);
-        let mut index_folds = Vec::new();
-        let mut tag_folds = Vec::new();
-        let mut pc_shifts = [0u32; MAX_TAGE_TABLES];
-        let mut path_masks = [0u64; MAX_TAGE_TABLES];
-        let mut tag_masks = [0u16; MAX_TAGE_TABLES];
         let log = config.tagged_log_entries;
-        for i in 0..config.num_tables() {
-            let hlen = config.history_length(i);
-            index_folds.push(history.add_fold(hlen, log));
-            let tw = config.tag_bits[i];
-            tag_folds.push((history.add_fold(hlen, tw), history.add_fold(hlen, tw - 1)));
-            pc_shifts[i] = (log - (i % log)) as u32;
-            path_masks[i] = low_mask(hlen.min(config.path_bits));
-            tag_masks[i] = low_mask(tw) as u16;
-        }
         let entry = TaggedEntry {
             ctr: SaturatingCounter::new(config.counter_bits),
             tag: 0,
@@ -388,12 +334,7 @@ impl Tage {
         Tage {
             base: BimodalTable::new(1 << config.base_log_entries),
             tables: vec![entry; config.num_tables() << log],
-            history,
-            index_folds,
-            tag_folds,
-            pc_shifts,
-            path_masks,
-            tag_masks,
+            front: config.front_end(),
             use_alt_on_na: SaturatingCounter::new(4),
             tick: 0,
             reset_msb: true,
@@ -408,10 +349,15 @@ impl Tage {
         &self.config
     }
 
-    /// Access to the shared history state (the composed predictor reads
+    /// Access to the history state (the composed predictor reads
     /// global/path history from here for its corrector components).
     pub fn history(&self) -> &HistoryState {
-        &self.history
+        self.front.history()
+    }
+
+    /// The front end this TAGE's own lookups run on.
+    pub fn front_end(&mut self) -> &mut TageFrontEnd {
+        &mut self.front
     }
 
     /// The entry of tagged table `table` at `index` in the flattened
@@ -439,54 +385,6 @@ impl Tage {
         debug_assert!(slot < self.tables.len());
         // SAFETY: as in [`Tage::entry`].
         unsafe { self.tables.get_unchecked_mut(slot) }
-    }
-
-    /// `pcb`/`path` are `pc_bits(pc)` and the packed path history,
-    /// hoisted out of the per-table loop by the caller.
-    ///
-    /// The path-history contribution is a two-term branchless fold plus
-    /// a remainder loop, bit-identical to
-    /// `fold_u64(masked_path.max(1), log.min(16))`: the generic fold
-    /// XORs successive `fold_bits`-wide slices until the residue is
-    /// zero, so unconditionally XORing the first two slices (extra
-    /// slices of a short value are zero, and the `.max(1)` argument is
-    /// nonzero so the generic loop always consumes slice zero) and then
-    /// looping over whatever remains above `2 * fold_bits` computes the
-    /// same value. For every registry configuration `masked_path` fits
-    /// in `path_bits = 16 <= 2 * fold_bits` bits, making the remainder
-    /// loop dead there — which is the point: the generic fold's
-    /// data-dependent trip count sat on the index phase of all 12
-    /// tables, and this form retires as straight-line XOR/shift.
-    /// Reference form pinned against the fused lookup loop by the
-    /// debug assertions in [`Tage::lookup`] and the fold-equivalence
-    /// test, hence unused in release builds.
-    #[cfg_attr(not(any(debug_assertions, test)), allow(dead_code))]
-    #[inline]
-    fn table_index(&self, hist: &HistoryState, pcb: u64, path: u64, i: usize) -> u32 {
-        let log = self.config.tagged_log_entries;
-        let fold_bits = log.min(16) as u32;
-        let fold_mask = low_mask(fold_bits as usize);
-        let x = (path & self.path_masks[i]).max(1);
-        let mut path_fold = (x & fold_mask) ^ ((x >> fold_bits) & fold_mask);
-        let mut rest = x >> (2 * fold_bits);
-        while rest != 0 {
-            path_fold ^= rest & fold_mask;
-            rest >>= fold_bits;
-        }
-        let v = pcb
-            ^ (pcb >> self.pc_shifts[i])
-            ^ u64::from(hist.fold(self.index_folds[i]))
-            ^ path_fold;
-        (v & low_mask(log)) as u32
-    }
-
-    /// Reference form for the fused lookup loop's debug assertions.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    #[inline]
-    fn table_tag(&self, hist: &HistoryState, pcb: u64, i: usize) -> u16 {
-        let (f1, f2) = self.tag_folds[i];
-        let v = pcb ^ u64::from(hist.fold(f1)) ^ (u64::from(hist.fold(f2)) << 1);
-        (v as u16) & self.tag_masks[i]
     }
 
     /// Issues a read prefetch for the one lookup row whose address is an
@@ -521,72 +419,16 @@ impl Tage {
     pub fn lookup(&mut self, pc: u64) -> TageLookup {
         let mut indices = [0u32; MAX_TAGE_TABLES];
         let mut tags = [0u16; MAX_TAGE_TABLES];
-        self.index_phase(&self.history, pc_bits(pc), &mut indices, &mut tags);
+        self.front.index_phase(pc, &mut indices, &mut tags);
         self.probe(pc, indices, tags)
-    }
-
-    /// The index phase of a lookup, over an arbitrary history view:
-    /// [`Tage::table_index`]/[`Tage::table_tag`] fused into one
-    /// zipped-iterator loop. Per-table `Vec`/array indexing in those
-    /// helpers costs ~8 bounds checks per table, and at 12 tables that
-    /// overhead crowds the out-of-order window that should be filled
-    /// with the probe loads of *neighbouring branches*. The debug
-    /// assertion at the end pins the fused loop to the reference
-    /// helpers term by term.
-    ///
-    /// `hist` is always the architectural history: a scalar lookup
-    /// reads it at predict time, a pipelined plan at plan time (before
-    /// [`Tage::push_history`] advances it past the branch) — the same
-    /// point in the trace, so the two paths cannot drift.
-    #[inline]
-    fn index_phase(
-        &self,
-        hist: &HistoryState,
-        pcb: u64,
-        indices: &mut [u32; MAX_TAGE_TABLES],
-        tags: &mut [u16; MAX_TAGE_TABLES],
-    ) {
-        let n = self.config.num_tables();
-        let path = hist.path();
-        let log = self.config.tagged_log_entries;
-        let fold_bits = log.min(16) as u32;
-        let fold_mask = low_mask(fold_bits as usize);
-        let index_mask = low_mask(log);
-        let comps = hist.folds();
-        for (((((index, tag), &fid), &(tf1, tf2)), &pc_shift), (&path_mask, &tag_mask)) in indices
-            [..n]
-            .iter_mut()
-            .zip(tags[..n].iter_mut())
-            .zip(&self.index_folds)
-            .zip(&self.tag_folds)
-            .zip(&self.pc_shifts[..n])
-            .zip(self.path_masks[..n].iter().zip(&self.tag_masks[..n]))
-        {
-            let x = (path & path_mask).max(1);
-            let mut path_fold = (x & fold_mask) ^ ((x >> fold_bits) & fold_mask);
-            let mut rest = x >> (2 * fold_bits);
-            while rest != 0 {
-                path_fold ^= rest & fold_mask;
-                rest >>= fold_bits;
-            }
-            let v = pcb ^ (pcb >> pc_shift) ^ u64::from(comps[fid]) ^ path_fold;
-            *index = (v & index_mask) as u32;
-            let t = pcb ^ u64::from(comps[tf1]) ^ (u64::from(comps[tf2]) << 1);
-            *tag = (t as u16) & tag_mask;
-        }
-        #[cfg(debug_assertions)]
-        for i in 0..n {
-            assert_eq!(indices[i], self.table_index(hist, pcb, path, i));
-            assert_eq!(tags[i], self.table_tag(hist, pcb, i));
-        }
     }
 
     /// The probe phase of a lookup: walk the banks longest-history-first
     /// through the given row addresses, resolve provider/alternate and
     /// the `use_alt_on_na` policy, and cache the result for the
-    /// subsequent [`Tage::update`]. Shared verbatim by the scalar
-    /// [`Tage::lookup`] and the pipelined [`Tage::lookup_planned`], so
-    /// the match/decision logic is one piece of code in both modes.
+    /// subsequent [`Tage::update`]. Shared verbatim by
+    /// [`Tage::lookup`] and [`Tage::lookup_planned`], so the
+    /// match/decision logic is one piece of code for both.
     #[inline]
     fn probe(
         &mut self,
@@ -637,37 +479,12 @@ impl Tage {
         lookup
     }
 
-    /// Front-end step for an upcoming conditional branch: computes every
-    /// bank's index and tag from the architectural history into `plan`
-    /// and issues read prefetches for the planned tagged rows and the
-    /// bimodal base row. The caller advances the history past the branch
-    /// afterwards ([`Tage::push_history`]) — the fold work runs **once**
-    /// per branch, same as the scalar drive, just before the commit loop
-    /// instead of inside it. Legal because index inputs evolve purely
-    /// from the trace's `(PC, outcome)` stream, and [`Tage::update`]
-    /// (prediction-dependent training) never touches one.
-    #[inline]
-    pub fn plan_conditional(&mut self, pc: u64, plan: &mut TagePlan) {
-        self.index_phase(
-            &self.history,
-            pc_bits(pc),
-            &mut plan.indices,
-            &mut plan.tags,
-        );
-        let n = self.config.num_tables();
-        let log = self.config.tagged_log_entries;
-        for (i, &index) in plan.indices[..n].iter().enumerate() {
-            bp_components::prefetch_read(&self.tables, (i << log) | index as usize);
-        }
-        self.base.prefetch(pc);
-    }
-
     /// [`Tage::lookup`] through a front-end [`TagePlan`]: skips the
-    /// index phase and probes the banks through the planned (and
-    /// already prefetched) row addresses. Caches the lookup for the
-    /// subsequent [`Tage::update`] exactly like `lookup`. The
-    /// architectural history has already run ahead when this is called,
-    /// so the plan is the *only* source of the row addresses here.
+    /// index phase and probes the banks through the planned row
+    /// addresses. Caches the lookup for the subsequent [`Tage::update`]
+    /// exactly like `lookup`. The plan came from a front end equal to
+    /// this TAGE's own at this point of the trace, so it holds exactly
+    /// the addresses `lookup` would compute.
     #[inline]
     pub fn lookup_planned(&mut self, pc: u64, plan: &TagePlan) -> TageLookup {
         self.probe(pc, plan.indices, plan.tags)
@@ -783,12 +600,12 @@ impl Tage {
 
     /// Pushes the resolved branch into the direction/path histories.
     pub fn push_history(&mut self, pc: u64, taken: bool) {
-        self.history.push(taken, pc);
+        self.front.push(pc, taken);
     }
 
     /// Pushes only path history (non-conditional branches).
     pub fn push_path(&mut self, pc: u64) {
-        self.history.push_path_only(pc);
+        self.front.push_path(pc);
     }
 
     /// Erases the direction/folded/path histories (a context-switch
@@ -796,7 +613,7 @@ impl Tage {
     /// entries, useful bits, the `use_alt_on_na` register. Allocation-
     /// free; see [`HistoryState::flush`] for the checkpoint interplay.
     pub fn flush_history(&mut self) {
-        self.history.flush();
+        self.front.flush();
     }
 
     /// Total storage in bits (base + tagged tables + use-alt counter).
@@ -828,6 +645,7 @@ impl Tage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_components::low_mask;
 
     fn run_branch<F: FnMut(u64) -> bool>(
         tage: &mut Tage,
@@ -958,12 +776,14 @@ mod tests {
 
     #[test]
     fn table_index_path_fold_matches_generic_fold() {
-        // `table_index` inlines the path-history fold as two
-        // unconditional terms plus a remainder loop; this pins it to
+        // The front end's index phase inlines the path-history fold as
+        // two unconditional terms plus a remainder loop; this pins it to
         // the generic `fold_u64` it replaced, under a configuration
         // (64-bit path, 4-bit fold width) where the remainder loop is
         // actually live, and under the default registry geometry where
-        // it is dead.
+        // it is dead. Table `i` registers its index fold first, then
+        // its two tag folds, so the index fold of table `i` is fold
+        // `3 * i`.
         for config in [
             TageConfig::default(),
             TageConfig {
@@ -973,24 +793,26 @@ mod tests {
                 ..TageConfig::default()
             },
         ] {
-            let mut tage = Tage::new(config);
+            let mut tage = Tage::new(config.clone());
+            let log = config.tagged_log_entries;
             let mut pc = 0x9E37_79B9u64;
             for step in 0..2048u64 {
                 pc = pc.wrapping_mul(0x2545_F491_4F6C_DD1D).rotate_left(13);
-                let pcb = pc_bits(pc);
-                let path = tage.history.path();
-                let log = tage.config.tagged_log_entries;
-                for i in 0..tage.config.num_tables() {
+                let pcb = bp_components::pc_bits(pc);
+                let mut indices = [0u32; MAX_TAGE_TABLES];
+                let mut tags = [0u16; MAX_TAGE_TABLES];
+                tage.front_end().index_phase(pc, &mut indices, &mut tags);
+                let hist = tage.history();
+                for (i, &index) in indices[..config.num_tables()].iter().enumerate() {
+                    let hlen = config.history_length(i);
+                    let path_mask = low_mask(hlen.min(config.path_bits));
+                    let pc_shift = log - (i % log);
                     let expected = (pcb
-                        ^ (pcb >> tage.pc_shifts[i])
-                        ^ u64::from(tage.history.fold(tage.index_folds[i]))
-                        ^ bp_components::fold_u64((path & tage.path_masks[i]).max(1), log.min(16)))
+                        ^ (pcb >> pc_shift)
+                        ^ u64::from(hist.fold(3 * i))
+                        ^ bp_components::fold_u64((hist.path() & path_mask).max(1), log.min(16)))
                         & low_mask(log);
-                    assert_eq!(
-                        u64::from(tage.table_index(&tage.history, pcb, path, i)),
-                        expected,
-                        "table {i} at step {step}"
-                    );
+                    assert_eq!(u64::from(index), expected, "table {i} at step {step}");
                 }
                 tage.push_history(pc, step & 3 == 0);
             }

@@ -3,7 +3,7 @@
 use crate::predictor::{Wormhole, WormholeConfig};
 use bp_components::{
     ConditionalPredictor, ConfidenceBucket, LoopPredictor, LoopPredictorConfig,
-    PredictionAttribution, ProviderComponent, StorageBudget, StorageItem,
+    PredictionAttribution, ProviderComponent, StorageBudget, StorageItem, TageFrontEnd, TagePlan,
 };
 use bp_trace::BranchRecord;
 
@@ -64,16 +64,21 @@ impl<P: ConditionalPredictor> WormholeAugmented<P> {
         Some(self.loops.trip_count(self.last_backward_pc?)? + 1)
     }
 
-    /// The shared prediction path behind both [`predict`] and
-    /// [`predict_attributed`] — one flow, so they can never diverge.
-    /// The wrapped main predictor is driven through its own attributed
-    /// path, which it guarantees identical to its plain path.
+    /// The shared prediction path behind [`predict`],
+    /// [`predict_attributed`] and [`predict_planned`] — one flow, so
+    /// they can never diverge: the wormhole override applied to the
+    /// main predictor's attributed prediction `main` for `pc`.
     ///
     /// [`predict`]: ConditionalPredictor::predict
     /// [`predict_attributed`]: ConditionalPredictor::predict_attributed
+    /// [`predict_planned`]: ConditionalPredictor::predict_planned
     #[inline]
-    fn predict_full(&mut self, pc: u64) -> (bool, PredictionAttribution) {
-        let (main_pred, main_attr) = self.main.predict_attributed(pc);
+    fn resolve(
+        &mut self,
+        pc: u64,
+        main: (bool, PredictionAttribution),
+    ) -> (bool, PredictionAttribution) {
+        let (main_pred, main_attr) = main;
         let trip = self.current_trip();
         self.last_trip = trip;
         let (pred, attribution) = match self.wormhole.predict(pc, trip, main_pred) {
@@ -92,18 +97,11 @@ impl<P: ConditionalPredictor> WormholeAugmented<P> {
         self.last_pred = pred;
         (pred, attribution)
     }
-}
 
-impl<P: ConditionalPredictor> ConditionalPredictor for WormholeAugmented<P> {
-    fn predict(&mut self, pc: u64) -> bool {
-        self.predict_full(pc).0
-    }
-
-    fn predict_attributed(&mut self, pc: u64) -> (bool, PredictionAttribution) {
-        self.predict_full(pc)
-    }
-
-    fn update(&mut self, record: &BranchRecord) {
+    /// The wrapper's own training for a resolved conditional: wormhole
+    /// and trip-count loop tables. The main predictor trains separately.
+    #[inline]
+    fn train(&mut self, record: &BranchRecord) {
         let mispredicted = self.last_pred != record.taken;
         self.wormhole
             .update(record.pc, record.taken, mispredicted, self.last_trip);
@@ -113,7 +111,42 @@ impl<P: ConditionalPredictor> ConditionalPredictor for WormholeAugmented<P> {
             self.loops.update(record.pc, record.taken, true);
             self.last_backward_pc = Some(record.pc);
         }
+    }
+}
+
+impl<P: ConditionalPredictor> ConditionalPredictor for WormholeAugmented<P> {
+    fn predict(&mut self, pc: u64) -> bool {
+        self.predict_attributed(pc).0
+    }
+
+    fn predict_attributed(&mut self, pc: u64) -> (bool, PredictionAttribution) {
+        let main = self.main.predict_attributed(pc);
+        self.resolve(pc, main)
+    }
+
+    fn update(&mut self, record: &BranchRecord) {
+        self.train(record);
         self.main.update(record);
+    }
+
+    // The wrapper reads no TAGE history of its own, so it shares
+    // whatever front end its main predictor has.
+    fn front_end(&mut self) -> Option<&mut TageFrontEnd> {
+        self.main.front_end()
+    }
+
+    fn predict_planned(&mut self, pc: u64, plan: &TagePlan) -> (bool, PredictionAttribution) {
+        let main = self.main.predict_planned(pc, plan);
+        self.resolve(pc, main)
+    }
+
+    fn update_planned(&mut self, record: &BranchRecord) {
+        self.train(record);
+        self.main.update_planned(record);
+    }
+
+    fn notify_planned(&mut self, record: &BranchRecord) {
+        self.main.notify_planned(record);
     }
 
     fn flush_history(&mut self) {

@@ -18,11 +18,8 @@
 //! bp compare <bench> [instr]    all registered predictors on one benchmark
 //! bp grid <suite> [--jobs N] [--json] [--instr N]
 //!         [--family F] [--predictors a,b,c]
-//!         [--drive-mode scalar|pipelined]
 //!                               the full (predictor × benchmark) grid on
-//!                               the parallel engine (pipelined drive by
-//!                               default; --drive-mode scalar is the
-//!                               reference escape hatch)
+//!                               the parallel engine
 //! bp report <suite> [--jobs N] [--instr N] [--warmup N] [--json]
 //!           [--family F] [--predictors a,b,c] [--config FILE]
 //!           [--out-dir D]
@@ -79,6 +76,10 @@
 //! content-addressed key (config text × workload × budgets) is already
 //! in the cache are spliced in without simulating, and only the misses
 //! run. Artifacts are byte-identical with the cache off, cold, or warm.
+//!
+//! Every `--instr` budget must be at least one instruction. Command
+//! output to a closed pipe (`bp list | head -1`) ends the command
+//! quietly with success.
 
 use imli_repro::bench::sim_bench::{
     parse_predictor_throughputs, run_sim_bench, throughput_regressions, DEFAULT_REPS,
@@ -89,17 +90,61 @@ use imli_repro::sim::{
     family_members, lookup, make_predictor, paper_report_predictors, parse_predictor_file,
     parse_scenario_file, parse_sweep_file, registry, run_report_with_cache,
     run_scenario_with_cache, run_sweep_with_cache, scenario_by_name, scenario_report_predictors,
-    simulate, simulate_stream, CachePolicy, CacheStore, DriveMode, Engine, GridStrategy,
-    MispredictionProfile, PredictorFamily, PredictorSpec, SimCache, TextTable, SCENARIO_NAMES,
-    STANDARD_BUDGETS_KBIT, SWEEP_FAMILIES,
+    simulate, simulate_stream, CachePolicy, CacheStore, Engine, GridStrategy, MispredictionProfile,
+    PredictorFamily, PredictorSpec, SimCache, TextTable, SCENARIO_NAMES, STANDARD_BUDGETS_KBIT,
+    SWEEP_FAMILIES,
 };
 use imli_repro::trace::{read_trace, write_trace, Trace, TraceReader};
 use imli_repro::workloads::{
     cache_benchmark, cbp3_suite, cbp4_suite, find_benchmark, generate, suite_by_name,
 };
+use std::fmt;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
+use std::num::{IntErrorKind, NonZeroU64};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// `print!` for command output through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*), false) };
+}
+
+/// `println!` for command output through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*), true) };
+}
+
+/// Set once stdout turns out to be a closed pipe; later output is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes command output to stdout. Unlike `print!`, a failed write
+/// does not panic: a closed pipe (`bp list | head -1`) means the reader
+/// has all it wants, so all later output is dropped and the command
+/// runs on to its usual exit code (a lint violation or a bench gate
+/// failure still fails); any other stdout error ends the process with
+/// a one-line error and failure.
+fn emit(args: fmt::Arguments<'_>, newline: bool) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    let mut stdout = std::io::stdout().lock();
+    let written = stdout.write_fmt(args).and_then(|()| {
+        if newline {
+            stdout.write_all(b"\n")
+        } else {
+            Ok(())
+        }
+    });
+    if let Err(e) = written {
+        if e.kind() == ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            return;
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -107,7 +152,7 @@ fn usage() -> ExitCode {
          bp simulate <config> <bench-or-file> [instr]\n  bp profile <config> <bench> [instr] [top]\n  \
          bp compare <bench> [instr]\n  \
          bp grid <suite> [--jobs N] [--json] [--instr N] [--family F] [--predictors a,b,c] \
-         [--config FILE] [--strategy auto|cell|fused] [--drive-mode scalar|pipelined] \
+         [--config FILE] [--strategy auto|cell|fused] \
          [--cache [DIR]] [--cache-mode M]\n  \
          bp report <suite> [--jobs N] [--instr N] [--warmup N] [--json] [--family F] \
          [--predictors a,b,c] [--config FILE] [--out-dir D] [--cache [DIR]] [--cache-mode M]\n  \
@@ -135,12 +180,22 @@ fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
     s.parse().map_err(|_| format!("bad {what}: {s}"))
 }
 
+/// Parses an `--instr` budget. The result is non-zero by type: a zero
+/// budget would run an empty grid and emit all-zero artifacts, so it is
+/// rejected here, naming the flag.
+fn parse_instr(s: &str) -> Result<NonZeroU64, String> {
+    s.parse::<NonZeroU64>().map_err(|e| match e.kind() {
+        IntErrorKind::Zero => "--instr must be at least 1 instruction, got 0".to_owned(),
+        _ => format!("bad instruction count: {s}"),
+    })
+}
+
 fn run(args: &[String]) -> Result<Option<()>, String> {
     match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
         ["list", "benchmarks"] => {
             for (suite, specs) in [("CBP4", cbp4_suite()), ("CBP3", cbp3_suite())] {
                 for spec in specs {
-                    println!("{suite}/{}", spec.name);
+                    outln!("{suite}/{}", spec.name);
                 }
             }
             Ok(())
@@ -169,7 +224,7 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
                     spec.paper_ref.clone(),
                 ]);
             }
-            println!("{table}");
+            outln!("{table}");
             Ok(())
         }
         ["generate", bench, instr, path] | ["generate", bench, instr, path, "--v1"] => {
@@ -189,12 +244,12 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
                     let trace = generate(&spec, instructions);
                     write_trace(BufWriter::new(file), &trace)
                         .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    println!("wrote {trace} (format v1)");
+                    outln!("wrote {trace} (format v1)");
                 } else {
                     // v2 streams straight to disk: no materialized trace.
                     let records = cache_benchmark(&spec, instructions, BufWriter::new(file))
                         .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    println!("wrote {} ({records} records, format v2)", spec.name);
+                    outln!("wrote {} ({records} records, format v2)", spec.name);
                 }
                 Ok(())
             })
@@ -221,7 +276,7 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
                 }
                 result
             };
-            println!("{result}");
+            outln!("{result}");
             Ok(())
         }
         ["profile", config, bench] | ["profile", config, bench, ..] => {
@@ -239,7 +294,7 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
             let mut p =
                 make_predictor(config).ok_or_else(|| format!("unknown predictor {config}"))?;
             let profile = MispredictionProfile::collect(p.as_mut(), &trace);
-            println!(
+            outln!(
                 "{config} on {}: {:.3} MPKI; top-{top} branches cause {:.0} % of mispredictions",
                 trace.name(),
                 profile.mpki(),
@@ -254,7 +309,7 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
                     format!("{:.1} %", b.misprediction_rate() * 100.0),
                 ]);
             }
-            println!("{table}");
+            outln!("{table}");
             Ok(())
         }
         ["grid", suite, ..] => run_grid(suite, &args[2..]),
@@ -283,7 +338,7 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
             for (name, mpki) in rows {
                 table.row(vec![name, format!("{mpki:.3}")]);
             }
-            println!("{} ({} instructions)\n{table}", trace.name(), instructions);
+            outln!("{} ({} instructions)\n{table}", trace.name(), instructions);
             Ok(())
         }
         _ => return Ok(None),
@@ -353,7 +408,6 @@ struct SweepFlags {
     warmup: Option<u64>,
     out_dir: String,
     strategy: GridStrategy,
-    drive_mode: DriveMode,
     cache: Option<SimCache>,
 }
 
@@ -361,7 +415,7 @@ struct SweepFlags {
 /// `--family`, `--predictors`, `--cache [DIR]`, `--cache-mode M`).
 /// `command` names the subcommand for error messages; `report_flags`
 /// additionally enables `--warmup` and `--out-dir`, while `grid` alone
-/// takes `--strategy` and `--drive-mode`.
+/// takes `--strategy`.
 fn parse_sweep_flags(
     command: &str,
     flags: &[String],
@@ -377,7 +431,6 @@ fn parse_sweep_flags(
         warmup: None,
         out_dir: ".".to_owned(),
         strategy: GridStrategy::Auto,
-        drive_mode: DriveMode::default(),
         cache: None,
     };
     let mut cache_dir: Option<String> = None;
@@ -404,9 +457,7 @@ fn parse_sweep_flags(
                         .ok_or_else(|| format!("bad worker count: {v}"))?,
                 );
             }
-            "--instr" => {
-                parsed.instructions = parse_u64(value("instruction count")?, "instruction count")?;
-            }
+            "--instr" => parsed.instructions = parse_instr(value("instruction count")?)?.get(),
             "--json" => parsed.json = true,
             "--family" => {
                 let v = value("family name")?;
@@ -451,11 +502,6 @@ fn parse_sweep_flags(
                     other => return Err(format!("unknown strategy {other} (auto, cell, fused)")),
                 };
             }
-            "--drive-mode" if !report_flags => {
-                let v = value("drive mode")?;
-                parsed.drive_mode = DriveMode::parse(v)
-                    .ok_or_else(|| format!("unknown drive mode {v} (scalar, pipelined)"))?;
-            }
             "--warmup" if report_flags => {
                 parsed.warmup = Some(parse_u64(value("instruction count")?, "instruction count")?);
             }
@@ -480,7 +526,6 @@ fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), String> {
         instructions,
         predictors,
         strategy,
-        drive_mode,
         cache,
         ..
     } = parse_sweep_flags("grid", flags, 1_000_000, registry(), false)?;
@@ -488,7 +533,6 @@ fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), String> {
     let engine = jobs
         .map_or_else(Engine::new, Engine::with_jobs)
         .with_strategy(strategy)
-        .with_drive_mode(drive_mode)
         .with_cache(cache);
     let started = std::time::Instant::now();
     let show_progress = !json;
@@ -508,7 +552,7 @@ fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), String> {
     report_cache_outcome(engine.cache(), predictors.len() * benchmarks.len());
 
     if json {
-        println!(
+        outln!(
             "{}",
             grid_to_json(suite_name, instructions, engine.jobs(), &grid)
         );
@@ -535,7 +579,7 @@ fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), String> {
                 format!("{:.2}", grid.row_records_per_sec(p) / 1e6),
             ]);
         }
-        println!(
+        outln!(
             "{} grid: {} predictors x {} benchmarks at {} instructions, {} jobs, {:.2}s\n{table}",
             suite_name,
             grid.predictors.len(),
@@ -574,7 +618,6 @@ fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
         warmup,
         out_dir,
         strategy: _,
-        drive_mode: _,
         cache,
     } = parse_sweep_flags("report", flags, 500_000, default_predictors, true)?;
     // Default warmup: the first fifth of each benchmark.
@@ -622,7 +665,7 @@ fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
 
     if json {
-        print!("{json_doc}");
+        out!("{json_doc}");
     } else {
         // The Mrec/s column is live telemetry from the engine's
         // per-cell timings; it goes to stdout only — the written
@@ -638,7 +681,7 @@ fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
                 format!("{:.2}", report.row_records_per_sec(p) / 1e6),
             ]);
         }
-        println!(
+        outln!(
             "{} report: {} predictors x {} benchmarks at {} instructions (warmup {})\n{table}\
              wrote {} and {}",
             suite_name,
@@ -707,10 +750,7 @@ fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), String> {
                         .ok_or_else(|| format!("bad worker count: {v}"))?,
                 );
             }
-            "--instr" => {
-                scenario.instructions =
-                    parse_u64(value("instruction count")?, "instruction count")?;
-            }
+            "--instr" => scenario.instructions = parse_instr(value("instruction count")?)?.get(),
             "--json" => json = true,
             "--family" => {
                 let v = value("family name")?;
@@ -784,7 +824,7 @@ fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
 
     if json {
-        print!("{json_doc}");
+        out!("{json_doc}");
     } else {
         let mut table = TextTable::new(vec!["config", "family", "combined MPKI", "flushes"]);
         for row in &report.rows {
@@ -795,7 +835,7 @@ fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), String> {
                 row.run.flushes.to_string(),
             ]);
         }
-        println!(
+        outln!(
             "scenario {}: {} tenants x {} instructions, schedule {}, flush {}\n{table}\
              wrote {} and {}",
             report.scenario,
@@ -882,9 +922,7 @@ fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
                         .ok_or_else(|| format!("bad worker count: {v}"))?,
                 );
             }
-            "--instr" => {
-                instructions = Some(parse_u64(value("instruction count")?, "instruction count")?);
-            }
+            "--instr" => instructions = Some(parse_instr(value("instruction count")?)?.get()),
             "--json" => json = true,
             "--quick" => quick = true,
             "--out-dir" => out_dir = value("directory")?.to_owned(),
@@ -951,7 +989,7 @@ fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
 
     if json {
-        print!("{json_doc}");
+        out!("{json_doc}");
     } else {
         let mut table = TextTable::new(vec![
             "config",
@@ -969,7 +1007,7 @@ fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
                 format!("{:.3}", row.mean_mpki()),
             ]);
         }
-        println!(
+        outln!(
             "{} sweep: {} budgets x {} families x {} benchmarks at {} instructions, {} jobs, \
              {:.2}s\n{table}wrote {} and {}",
             suite_name,
@@ -1000,21 +1038,24 @@ fn run_cache_cmd(args: &[String]) -> Result<(), String> {
     match action {
         "stats" => {
             let stats = store.stats();
-            println!(
+            outln!(
                 "{dir}: {} entries, {} bytes, {} invalid files",
-                stats.entries, stats.bytes, stats.invalid
+                stats.entries,
+                stats.bytes,
+                stats.invalid
             );
         }
         "gc" => {
             let outcome = store.gc();
-            println!(
+            outln!(
                 "{dir}: kept {} entries, removed {} invalid files",
-                outcome.kept, outcome.removed
+                outcome.kept,
+                outcome.removed
             );
         }
         "clear" => {
             let removed = store.clear();
-            println!("{dir}: removed {removed} entries");
+            outln!("{dir}: removed {removed} entries");
         }
         other => return Err(format!("unknown cache action {other} (stats, gc, clear)")),
     }
@@ -1070,12 +1111,12 @@ fn run_lint(flags: &[String]) -> Result<(), String> {
     }
 
     if json {
-        print!("{}", report.to_json());
+        out!("{}", report.to_json());
     } else {
         for d in &report.diagnostics {
-            println!("{d}");
+            outln!("{d}");
         }
-        println!(
+        outln!(
             "bp lint: {} files scanned, {} unsafe sites audited, {} violation(s){}",
             report.files_scanned,
             report.unsafe_sites.len(),
@@ -1131,7 +1172,7 @@ fn run_bench(flags: &[String]) -> Result<(), String> {
             }
             "--instr" => {
                 let v = it.next().ok_or("--instr needs an instruction count")?;
-                instr = Some(parse_u64(v, "instruction count")?);
+                instr = Some(parse_instr(v)?.get());
             }
             "--reps" => {
                 let v = it.next().ok_or("--reps needs a repetition count")?;
@@ -1209,8 +1250,8 @@ fn run_bench(flags: &[String]) -> Result<(), String> {
             format!("{:.2}", b.v2.pipeline_records_per_sec(b.records) / 1e6),
         ]);
     }
-    println!("{table}");
-    println!(
+    outln!("{table}");
+    outln!(
         "totals: v2 size {:.1} % of v1; file-simulate pipeline speedup {:.2}x \
          (streaming read {:.2}x, streaming read+simulate {:.2}x); \
          engine grid {:.2} Mrec/s per worker (gen+sim)\nwrote {out_path}",
@@ -1288,16 +1329,7 @@ fn run_sim_bench_cmd(
         .predictors
         .iter()
         .any(|p| p.baseline_records_per_sec.is_some());
-    let mut headers = vec![
-        "config",
-        "family",
-        "Mrec/s",
-        "median ms",
-        "p90 ms",
-        "fe ms",
-        "commit ms",
-        "vs scalar",
-    ];
+    let mut headers = vec!["config", "family", "Mrec/s", "median ms", "p90 ms"];
     if with_baseline {
         headers.push("baseline Mrec/s");
         headers.push("speedup");
@@ -1310,9 +1342,6 @@ fn run_sim_bench_cmd(
             format!("{:.2}", p.records_per_sec / 1e6),
             format!("{:.1}", p.stats.median_seconds * 1e3),
             format!("{:.1}", p.stats.p90_seconds * 1e3),
-            format!("{:.1}", p.phases.frontend_seconds * 1e3),
-            format!("{:.1}", p.phases.commit_seconds * 1e3),
-            format!("{:.2}x", p.pipelined_speedup()),
         ];
         if with_baseline {
             row.push(
@@ -1326,28 +1355,14 @@ fn run_sim_bench_cmd(
         }
         table.row(row);
     }
-    println!(
-        "simulate throughput on {} ({} records, min of {} reps after warmup; \
-         fe = pipelined index-generation front end, commit = gather/commit remainder)\n{table}",
-        report.benchmark, report.predictors[0].records, report.reps
-    );
-    println!(
-        "pipeline depth sweep ({}): {} (best: {})",
-        report.depth_sweep.predictor,
-        report
-            .depth_sweep
-            .points
-            .iter()
-            .map(|p| format!("{}:{:.2}", p.depth, p.records_per_sec / 1e6))
-            .collect::<Vec<_>>()
-            .join(" "),
-        report
-            .depth_sweep
-            .best_depth()
-            .map_or_else(|| "-".to_owned(), |d| d.to_string()),
+    outln!(
+        "simulate throughput on {} ({} records, min of {} reps after warmup)\n{table}",
+        report.benchmark,
+        report.predictors[0].records,
+        report.reps
     );
     if let Some(m) = &report.memory {
-        println!(
+        outln!(
             "memory: peak RSS {:.1} MiB, {} minor / {} major page faults",
             m.peak_rss_kib as f64 / 1024.0,
             m.minor_faults,
@@ -1355,7 +1370,7 @@ fn run_sim_bench_cmd(
         );
     }
     let g = &report.grid;
-    println!(
+    outln!(
         "grid: {} predictors x {} benchmarks at {} instructions, {} jobs: \
          per-cell {:.2}s, fused {:.2}s ({:.2}x), results identical: {}",
         g.predictors,
@@ -1368,7 +1383,7 @@ fn run_sim_bench_cmd(
         g.fused_matches_per_cell,
     );
     if let Some(c) = &report.cache {
-        println!(
+        outln!(
             "cache: {} cells at {} instructions, {} jobs: uncached {:.3}s, \
              cold {:.3}s ({:.2}x overhead), warm {:.4}s ({:.0}x speedup), \
              warm hits {}/{}, results identical: {}",
@@ -1385,11 +1400,11 @@ fn run_sim_bench_cmd(
             c.warm_matches_uncached,
         );
     }
-    println!("wrote {out_path}");
+    outln!("wrote {out_path}");
     if let Some(pct) = gate_pct {
         let regressions = throughput_regressions(&report, pct);
         if regressions.is_empty() {
-            println!("gate: no predictor regressed more than {pct}% vs baseline");
+            outln!("gate: no predictor regressed more than {pct}% vs baseline");
         } else {
             let worst: Vec<String> = regressions
                 .iter()

@@ -9,8 +9,8 @@
 //! window of predict/update/notify calls must perform **zero**
 //! allocations for every predictor the acceptance criteria name.
 
-use imli_repro::sim::{drive_block, drive_block_mode, make_predictor, scenario_by_name, DriveMode};
-use imli_repro::workloads::{cbp4_suite, ScenarioEvent};
+use imli_repro::sim::{drive_block, make_predictor, scenario_by_name};
+use imli_repro::workloads::{cbp4_suite, EventStream, ScenarioEvent};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,6 +57,26 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Replays materialized scenario events.
+struct Replay<'a> {
+    events: std::slice::Iter<'a, ScenarioEvent>,
+    tenants: u32,
+}
+
+impl EventStream for Replay<'_> {
+    fn name(&self) -> &str {
+        "replay"
+    }
+
+    fn next_event(&mut self) -> Option<ScenarioEvent> {
+        self.events.next().copied()
+    }
+
+    fn tenant_count(&self) -> u32 {
+        self.tenants
+    }
+}
 
 /// One test drives all predictors sequentially: the counter is global,
 /// so concurrent tests in this binary would alias each other's counts.
@@ -135,34 +155,122 @@ fn steady_state_predict_update_is_allocation_free() {
         );
     }
 
-    // Both explicit drive modes, driven in simulator-sized blocks so
-    // the pipelined path's plan/commit chunk loop (context snapshots,
-    // plan fills, planned gathers, trained commits) is inside the
-    // measured window. The plan buffers are allocated at predictor
-    // construction; steady state must stay allocation-free in both
-    // modes for every pipelined host family.
+    // The same drive in simulator-sized blocks, so block starts and
+    // ends fall inside the measured window, for every IMLI host family
+    // the solo path runs: TAGE-SC-L, FTL and the perceptron.
     for name in ["tage-sc-l+imli", "ftl+imli", "perceptron+imli"] {
-        for mode in [DriveMode::Pipelined, DriveMode::Scalar] {
-            let mut predictor = make_predictor(name).expect("registered");
-            let mut stats = imli_repro::components::PredictorStats::default();
-            for block in warmup.chunks(4096) {
-                drive_block_mode(predictor.as_mut(), block, &mut stats, mode);
-            }
-
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            for block in measured.chunks(4096) {
-                drive_block_mode(predictor.as_mut(), block, &mut stats, mode);
-            }
-            let after = ALLOCATIONS.load(Ordering::Relaxed);
-
-            assert!(stats.predicted > 20_000, "{name}: {mode:?} drive ran");
-            assert_eq!(
-                after - before,
-                0,
-                "{name}: steady-state {mode:?} block drive allocated {} times",
-                after - before,
-            );
+        let mut predictor = make_predictor(name).expect("registered");
+        let mut stats = imli_repro::components::PredictorStats::default();
+        for block in warmup.chunks(4096) {
+            drive_block(predictor.as_mut(), block, &mut stats);
         }
+
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for block in measured.chunks(4096) {
+            drive_block(predictor.as_mut(), block, &mut stats);
+        }
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+
+        assert!(stats.predicted > 20_000, "{name}: block drive ran");
+        assert_eq!(
+            after - before,
+            0,
+            "{name}: steady-state block drive allocated {} times",
+            after - before,
+        );
+    }
+
+    // The fused-column drives with the shared TAGE front end: a
+    // column of same-geometry TAGE hosts (one shared group: front-end
+    // plan chunks, planned commits, attributed tallies) plus solo hosts.
+    // Every allocation these drives make is per pass — block buffers,
+    // plan scratch, the grouping, result assembly — so a pass over three
+    // times the records must allocate exactly as often as a short one.
+    {
+        use imli_repro::sim::{
+            simulate_scenario_multi, simulate_stream_attributed_multi, simulate_stream_multi,
+        };
+        let names = [
+            "tage-gsc",
+            "tage-gsc+imli",
+            "tage-gsc+wh",
+            "tage-sc-l+imli",
+            "gehl+imli",
+            "perceptron+imli",
+        ];
+        let specs: Vec<_> = names
+            .iter()
+            .map(|n| imli_repro::sim::lookup(n).expect("registered"))
+            .collect();
+        let mut short = imli_repro::trace::Trace::new("short");
+        let mut long = imli_repro::trace::Trace::new("long");
+        for (i, record) in records.iter().enumerate() {
+            if i < records.len() / 4 {
+                short.push(*record);
+            }
+            if i < 3 * records.len() / 4 {
+                long.push(*record);
+            }
+        }
+        let count = |pass: &mut dyn FnMut()| {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            pass();
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        };
+        let plain = |trace: &imli_repro::trace::Trace| {
+            let mut column: Vec<_> = specs.iter().map(|s| s.make()).collect();
+            count(&mut || {
+                let _ = simulate_stream_multi(&mut column, trace.stream());
+            })
+        };
+        assert_eq!(
+            plain(&short),
+            plain(&long),
+            "shared-front-end plain drive allocated in steady state"
+        );
+        let attributed = |trace: &imli_repro::trace::Trace| {
+            let mut column: Vec<_> = specs.iter().map(|s| s.make()).collect();
+            count(&mut || {
+                let _ = simulate_stream_attributed_multi(&mut column, trace.stream(), 20_000);
+            })
+        };
+        assert_eq!(
+            attributed(&short),
+            attributed(&long),
+            "shared-front-end attributed drive allocated in steady state"
+        );
+
+        // The scenario drive, over materialized events (event
+        // *generation* may allocate; consuming them must not) with
+        // partial flushes, which reset the shared front end in place.
+        let scenario = scenario_by_name("paper_switch").expect("builtin");
+        let mut events = scenario.events();
+        let mut all: Vec<ScenarioEvent> = Vec::new();
+        while let Some(ev) = events.next_event() {
+            all.push(ev);
+        }
+        let flushes = |window: &[ScenarioEvent]| {
+            window
+                .iter()
+                .filter(|ev| matches!(ev, ScenarioEvent::Flush(_)))
+                .count()
+        };
+        let (short_events, long_events) = (&all[..all.len() / 4], &all[..3 * all.len() / 4]);
+        assert!(flushes(short_events) > 0 && flushes(long_events) > flushes(short_events));
+        let scenario_pass = |window: &[ScenarioEvent]| {
+            let mut replay = Replay {
+                events: window.iter(),
+                tenants: scenario.tenants.len() as u32,
+            };
+            count(&mut || {
+                let _ = simulate_scenario_multi(&specs, &mut replay);
+            })
+        };
+        assert_eq!(
+            scenario_pass(short_events),
+            scenario_pass(long_events),
+            "shared-front-end scenario drive allocated in steady state"
+        );
     }
 
     // The scenario drive loop: multi-tenant records plus partial

@@ -3,22 +3,20 @@
 //! The simulator's one-record lookahead calls
 //! [`ConditionalPredictor::prefetch`] with the *next* PC before the
 //! current record is processed, under history that is stale by one
-//! branch — and the pipelined drive mode goes further, issuing hints up
-//! to a whole pipeline depth ahead from its plan pass. The contract
-//! says those hints (issued, skipped, or mis-targeted) can never change
-//! a prediction. These tests enforce the contract the strong way: for
-//! **every** registry configuration, the default (pipelined, plan-ahead
-//! prefetching) [`simulate`] driver, the explicit scalar
-//! (one-record-lookahead) drive, the fused [`simulate_stream_multi`]
-//! driver, and a bare hand-rolled predict/update loop that never calls
-//! `prefetch` at all must produce identical prediction statistics.
+//! branch. The contract says those hints (issued, skipped, or
+//! mis-targeted) can never change a prediction. These tests enforce the
+//! contract the strong way: for **every** registry configuration, the
+//! one-record-lookahead [`simulate`] driver, the fused
+//! [`simulate_stream_multi`] driver, and a bare hand-rolled
+//! predict/update loop that never calls `prefetch` at all must produce
+//! identical prediction statistics.
 //!
 //! [`ConditionalPredictor::prefetch`]: imli_repro::components::ConditionalPredictor::prefetch
 //! [`simulate`]: imli_repro::sim::simulate
 //! [`simulate_stream_multi`]: imli_repro::sim::simulate_stream_multi
 
 use imli_repro::components::{ConditionalPredictor, PredictorStats};
-use imli_repro::sim::{registry, simulate, simulate_mode, simulate_stream_multi, DriveMode};
+use imli_repro::sim::{registry, simulate, simulate_stream_multi};
 use imli_repro::workloads::{cbp4_suite, generate, stream_benchmark};
 
 const INSTRUCTIONS: u64 = 60_000;
@@ -53,27 +51,16 @@ fn lookahead_prefetch_is_invisible_for_every_registry_config() {
     for spec_entry in &specs {
         let mut with_hints = spec_entry.make();
         any_prefetching |= with_hints.wants_prefetch();
-        // `simulate` drives the default pipelined block drive, which
-        // plans indices (and, where the working set warrants it, issues
-        // prefetch hints) up to a pipeline depth ahead of the commits.
+        // `simulate` drives the block loop with the one-record
+        // lookahead hint.
         let streamed = simulate(with_hints.as_mut(), &trace);
-
-        // The explicit scalar drive keeps the one-record lookahead hint
-        // but no plan-ahead front end.
-        let mut scalar = spec_entry.make();
-        let scalar_result = simulate_mode(scalar.as_mut(), &trace, DriveMode::Scalar);
 
         let mut bare = spec_entry.make();
         let plain = drive_plain(bare.as_mut(), &trace);
 
         assert_eq!(
             streamed.stats, plain,
-            "{}: plan-ahead prefetch changed predictions",
-            spec_entry.name
-        );
-        assert_eq!(
-            scalar_result.stats, plain,
-            "{}: scalar lookahead prefetch changed predictions",
+            "{}: lookahead prefetch changed predictions",
             spec_entry.name
         );
     }
@@ -90,7 +77,7 @@ fn fused_multi_lookahead_matches_plain_loop_for_every_registry_config() {
     let specs = registry();
 
     // One fused pass over all registry predictors (block-sliced drive
-    // with intra-block lookahead)...
+    // with intra-block lookahead, and the shared TAGE front end)...
     let mut fleet: Vec<_> = specs.iter().map(|s| s.make()).collect();
     let fused = simulate_stream_multi(&mut fleet, stream_benchmark(spec, INSTRUCTIONS));
 
