@@ -11,7 +11,7 @@ use bp_trace::BranchRecord;
 /// as used for the TAGE base predictor: each entry stores its own
 /// *direction* bit while groups of four entries share one *hysteresis*
 /// bit, halving storage at negligible accuracy cost.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BimodalTable {
     direction: Vec<bool>,
     hysteresis: Vec<bool>,

@@ -1,21 +1,21 @@
-//! The TAGE front end: the part of a TAGE lookup that depends only on
-//! the trace.
+//! The front ends of the fused-column drive: the parts of a host's
+//! lookup that depend only on the trace.
 //!
-//! Trace-driven simulation has a *purity invariant*: a TAGE host's
-//! table-index inputs — the global history, its 3 × N folds and the
-//! path register — evolve only with the trace's `(PC, outcome)`
-//! stream. Predictions move counters, usefulness bits and allocation
-//! decisions, but never an index input. So every host with the same
-//! index geometry computes the same row addresses for every branch of
-//! a trace: equal geometry means equal plans.
+//! Trace-driven simulation has a *purity invariant*: a host's
+//! table-index inputs — the global history, its folds and the path
+//! register — evolve only with the trace's `(PC, outcome)` stream.
+//! Predictions move counters, usefulness bits and allocation decisions,
+//! but never an index input. So every host with the same index geometry
+//! computes the same row addresses for every branch of a trace.
 //!
-//! [`TageFrontEnd`] is that front end — the history bundle plus the
-//! per-table constants of the index/tag hash — split out of the TAGE
-//! tables so it can be owned by a host (its own lookups) *or* by the
-//! simulator's fused-column drive, which runs one front end per group
-//! of same-geometry hosts and lets every member commit from the shared
-//! [`TagePlan`]s (see
-//! [`ConditionalPredictor::predict_planned`](crate::ConditionalPredictor::predict_planned)).
+//! `TageFrontEnd` is a TAGE's history bundle plus the per-table
+//! constants of its index/tag hash, owned by [`Tage`](crate::Tage).
+//! [`GehlFrontEnd`] is the same for a GEHL host's global tables: the
+//! history bundle and the global index hash. A GEHL host owns one for
+//! its own lookups; the simulator's fused-column drive runs one per
+//! group of same-geometry GEHL hosts and lets every member commit from
+//! the shared [`GehlPlan`]s (see
+//! [`ConditionalPredictor::predict_from_gehl`](crate::ConditionalPredictor::predict_from_gehl)).
 
 use crate::hash::pc_bits;
 use bp_history::{FoldId, HistoryState};
@@ -24,40 +24,15 @@ use bp_trace::BranchRecord;
 /// Compile-time bound on the number of TAGE tagged tables.
 ///
 /// Per-table indices and tags live in fixed-capacity inline arrays
-/// sized by this constant, so lookups and plans are plain `Copy`
-/// values — no heap allocation on the predict/update path. 16
-/// comfortably covers every published TAGE geometry (the paper's is 12
-/// tables; CBP winners use 12-15).
+/// sized by this constant, so lookups are plain `Copy` values — no heap
+/// allocation on the predict/update path. 16 comfortably covers every
+/// published TAGE geometry (the paper's is 12 tables; CBP winners use
+/// 12-15).
 pub const MAX_TAGE_TABLES: usize = 16;
 
-/// The front-end output for one conditional branch: every tagged
-/// bank's row index and tag, plus the history views a TAGE host's
-/// corrector reads — exactly what the host would compute at predict
-/// time, captured before the front end advances past the branch.
-///
-/// 112 bytes, `Copy`: a chunk of plans is flat pre-sized scratch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TagePlan {
-    /// Per-table row indices (the first `tables()` slots are live).
-    pub indices: [u32; MAX_TAGE_TABLES],
-    /// Per-table partial tags (the first `tables()` slots are live).
-    pub tags: [u16; MAX_TAGE_TABLES],
-    /// The 64 newest global-history outcomes, newest in bit 0.
-    pub ghist: u64,
-    /// The packed path history.
-    pub path: u64,
-}
-
-impl Default for TagePlan {
-    fn default() -> Self {
-        TagePlan {
-            indices: [0; MAX_TAGE_TABLES],
-            tags: [0; MAX_TAGE_TABLES],
-            ghist: 0,
-            path: 0,
-        }
-    }
-}
+/// Compile-time bound on the number of GEHL global tables (the range
+/// `GehlConfig::check` accepts), sizing [`GehlPlan`].
+pub const MAX_GEHL_TABLES: usize = 64;
 
 /// The low `bits` bits set, saturating at the full word — the guard
 /// for path-history masks, where a legal 64-bit configuration would
@@ -77,9 +52,9 @@ pub fn low_mask(bits: usize) -> u64 {
 ///
 /// Two front ends compare equal when they have the same index geometry
 /// *and* the same history state — the condition under which they
-/// produce the same [`TagePlan`] for every future branch.
+/// compute the same rows for every future branch.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TageFrontEnd {
+pub(crate) struct TageFrontEnd {
     history: HistoryState,
     tables: usize,
     log_entries: usize,
@@ -144,11 +119,6 @@ impl TageFrontEnd {
             path_masks,
             tag_masks,
         }
-    }
-
-    /// Number of tagged tables.
-    pub fn tables(&self) -> usize {
-        self.tables
     }
 
     /// The history bundle (global, folded and path history).
@@ -249,12 +219,148 @@ impl TageFrontEnd {
         }
     }
 
+    /// Pushes a resolved conditional into the direction/path histories.
+    #[inline]
+    pub fn push(&mut self, pc: u64, taken: bool) {
+        self.history.push(taken, pc);
+    }
+
+    /// Pushes only path history (non-conditional branches).
+    #[inline]
+    pub fn push_path(&mut self, pc: u64) {
+        self.history.push_path_only(pc);
+    }
+
+    /// Erases the direction/folded/path histories (a context-switch
+    /// flush). Allocation-free; see [`HistoryState::flush`].
+    pub fn flush(&mut self) {
+        self.history.flush();
+    }
+}
+
+/// The GEHL front end's output for one conditional branch: every
+/// global table's row index before the IMLI term, plus the history
+/// views a GEHL host's IMLI components read — exactly what the host
+/// would compute at predict time, captured before the front end
+/// advances past the branch.
+///
+/// 144 bytes, `Copy`: a chunk of plans is flat pre-sized scratch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GehlPlan {
+    /// Per-table row indices, masked to the table size (the first
+    /// `tables()` slots are live).
+    pub indices: [u16; MAX_GEHL_TABLES],
+    /// The 64 newest global-history outcomes, newest in bit 0.
+    pub ghist: u64,
+    /// The packed path history.
+    pub path: u64,
+}
+
+impl Default for GehlPlan {
+    fn default() -> Self {
+        GehlPlan {
+            indices: [0; MAX_GEHL_TABLES],
+            ghist: 0,
+            path: 0,
+        }
+    }
+}
+
+/// A GEHL host's global index inputs and index hash: the history bundle
+/// (global history, one fold per history-indexed table, the path
+/// register) and the per-table history lengths the hash mixes in.
+///
+/// Table 0 is PC-indexed; table `i > 0` reads a `log_entries`-bit fold
+/// of its `history_lengths[i]` newest outcomes. The IMLI term some
+/// hosts XOR into two of the indices, and the local tables of FTL, are
+/// host state outside the front end. Two front ends compare equal when
+/// they have the same geometry *and* the same history state — the
+/// condition under which they produce the same [`GehlPlan`] for every
+/// future branch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GehlFrontEnd {
+    history: HistoryState,
+    /// Per-table fold (`None` for the PC-indexed table 0).
+    folds: Vec<Option<FoldId>>,
+    /// Per-table history length, hoisted out of the per-branch index
+    /// loops: the geometric series involves a `powf`, and recomputing
+    /// it per table per branch was once the hottest constant on the
+    /// GEHL profile.
+    hist_lens: Vec<u64>,
+    /// `2^log_entries - 1`.
+    index_mask: u64,
+}
+
+impl GehlFrontEnd {
+    /// Builds the front end of a GEHL whose global table `i` holds
+    /// `2^log_entries` counters indexed with `history_lengths[i]`
+    /// outcomes (0 = PC only), over a `path_bits`-bit path register.
+    /// `max_history` sizes the global buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`MAX_GEHL_TABLES`] tables,
+    /// `log_entries` exceeds 16, or under [`HistoryState::new`]'s and
+    /// [`HistoryState::add_fold`]'s conditions. Callers validate the
+    /// geometry first.
+    // bp-lint: allow-item(hot-path-alloc, "front-end construction is cold, once per predictor")
+    pub fn new(
+        log_entries: usize,
+        path_bits: usize,
+        max_history: usize,
+        history_lengths: &[usize],
+    ) -> Self {
+        assert!(
+            history_lengths.len() <= MAX_GEHL_TABLES,
+            "too many GEHL tables"
+        );
+        assert!(log_entries <= 16, "GEHL plans hold 16-bit indices");
+        let capacity = (max_history + 1).next_power_of_two().max(2048);
+        let mut history = HistoryState::new(capacity, path_bits);
+        let folds = history_lengths
+            .iter()
+            .map(|&hlen| (hlen > 0).then(|| history.add_fold(hlen, log_entries)))
+            .collect();
+        GehlFrontEnd {
+            history,
+            folds,
+            hist_lens: history_lengths.iter().map(|&hlen| hlen as u64).collect(),
+            index_mask: low_mask(log_entries),
+        }
+    }
+
+    /// Number of global tables.
+    pub fn tables(&self) -> usize {
+        self.folds.len()
+    }
+
+    /// The history bundle (global, folded and path history).
+    pub fn history(&self) -> &HistoryState {
+        &self.history
+    }
+
+    /// Global table `i`'s row hash for the branch at `pc` from the
+    /// current history, before the IMLI term and unmasked (the counter
+    /// bank masks it to the table size).
+    #[inline]
+    pub fn table_index(&self, i: usize, pc: u64) -> u64 {
+        let mut v = pc_bits(pc) ^ ((i as u64) << 59);
+        if let Some(fold) = self.folds[i] {
+            v ^= u64::from(self.history.fold(fold)) ^ (self.hist_lens[i] << 13);
+            v ^= self.history.path() & 0x3F;
+        }
+        v
+    }
+
     /// Plans the conditional branch at `pc` from the current history
     /// (the caller advances past it afterwards with
-    /// [`TageFrontEnd::push`]).
+    /// [`GehlFrontEnd::push`]).
     #[inline]
-    pub fn plan(&self, pc: u64, plan: &mut TagePlan) {
-        self.index_phase(pc, &mut plan.indices, &mut plan.tags);
+    pub fn plan(&self, pc: u64, plan: &mut GehlPlan) {
+        let n = self.tables();
+        for (i, index) in plan.indices[..n].iter_mut().enumerate() {
+            *index = (self.table_index(i, pc) & self.index_mask) as u16;
+        }
         plan.ghist = self.history.global().low_bits(64);
         plan.path = self.history.path();
     }
@@ -267,7 +373,7 @@ impl TageFrontEnd {
     ///
     /// Panics if `plans` is shorter than `records`.
     #[inline]
-    pub fn plan_block(&mut self, records: &[BranchRecord], plans: &mut [TagePlan]) {
+    pub fn plan_block(&mut self, records: &[BranchRecord], plans: &mut [GehlPlan]) {
         for (record, plan) in records.iter().zip(&mut plans[..records.len()]) {
             if record.is_conditional() {
                 self.plan(record.pc, plan);
@@ -301,14 +407,16 @@ impl TageFrontEnd {
 mod tests {
     use super::*;
 
-    fn front(path_bits: usize) -> TageFrontEnd {
-        let lengths: Vec<usize> = (0..12).map(|i| 4 << (i / 2)).collect();
-        TageFrontEnd::new(10, path_bits, 640, &lengths, &[8; 12])
+    fn front() -> GehlFrontEnd {
+        let lengths: Vec<usize> = (0..17)
+            .map(|i| if i == 0 { 0 } else { 2 << (i / 2) })
+            .collect();
+        GehlFrontEnd::new(11, 16, 600, &lengths)
     }
 
     #[test]
     fn plans_are_equal_for_equal_front_ends_and_block_planning_advances() {
-        let mut a = front(16);
+        let mut a = front();
         let mut b = a.clone();
         let records: Vec<BranchRecord> = (0..300u64)
             .map(|i| {
@@ -319,13 +427,16 @@ mod tests {
                 }
             })
             .collect();
-        let mut plans = vec![TagePlan::default(); records.len()];
+        let mut plans = vec![GehlPlan::default(); records.len()];
         a.plan_block(&records, &mut plans);
         for (record, plan) in records.iter().zip(&plans) {
             if record.is_conditional() {
-                let mut expected = TagePlan::default();
+                let mut expected = GehlPlan::default();
                 b.plan(record.pc, &mut expected);
                 assert_eq!(*plan, expected);
+                for (i, &index) in plan.indices[..b.tables()].iter().enumerate() {
+                    assert_eq!(u64::from(index), b.table_index(i, record.pc) & 0x7FF);
+                }
                 b.push(record.pc, record.taken);
             } else {
                 b.push_path(record.pc);
@@ -341,8 +452,8 @@ mod tests {
 
     #[test]
     fn plan_ghist_is_the_newest_64_outcomes() {
-        let mut f = front(16);
-        let mut plan = TagePlan::default();
+        let mut f = front();
+        let mut plan = GehlPlan::default();
         for i in 0..100u64 {
             f.push(0x40, i % 5 == 0);
         }

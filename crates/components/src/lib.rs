@@ -21,9 +21,12 @@
 //!   instrumentation channel reporting which component provided each
 //!   prediction (consumed by `bp-sim`'s report layer), folded per
 //!   component by [`AttributionTally`];
-//! * [`TageFrontEnd`]/[`TagePlan`] — a TAGE host's index inputs and
-//!   index/tag hash, shareable by every same-geometry host of a fused
-//!   simulation column;
+//! * [`Tage`] — the TAGE predictor proper, whose whole state a fused
+//!   simulation column shares among its same-configuration TAGE hosts
+//!   ([`TageStep`]);
+//! * [`GehlFrontEnd`]/[`GehlPlan`] — a GEHL host's global index inputs
+//!   and index hash, shareable by every same-geometry GEHL host of a
+//!   fused column ([`SharedFrontEnd`]/[`SharedPlans`]);
 //! * [`PredictorConfig`]/[`ConfigValue`] — the typed configuration
 //!   layer: every predictor family is buildable, validatable, and
 //!   serializable from data (consumed by `bp-sim`'s registry and its
@@ -44,6 +47,7 @@ mod kernel;
 mod loop_pred;
 mod predictor;
 mod sum;
+mod tage;
 mod threshold;
 
 pub use attribution::{
@@ -56,11 +60,14 @@ pub use config::{
     json_string, BimodalConfig, ConfigError, ConfigValue, GShareConfig, PredictorConfig,
 };
 pub use counter::SaturatingCounter;
-pub use frontend::{low_mask, TageFrontEnd, TagePlan, MAX_TAGE_TABLES};
+pub use frontend::{low_mask, GehlFrontEnd, GehlPlan, MAX_GEHL_TABLES, MAX_TAGE_TABLES};
 pub use gshare::GShare;
 pub use hash::{fold_u64, mix64, pc_bits};
 pub use kernel::{prefetch_read, sum_centered, sum_centered_padded, sum_i8, sum_i8_reference};
 pub use loop_pred::{LoopPrediction, LoopPredictor, LoopPredictorConfig};
-pub use predictor::{AlwaysTaken, ConditionalPredictor, PredictorStats};
+pub use predictor::{
+    AlwaysTaken, ConditionalPredictor, PredictorStats, SharedFrontEnd, SharedPlans,
+};
 pub use sum::{CounterBank, SignedCounterTable, SumComponent, SumCtx};
+pub use tage::{Tage, TageConfig, TageLookup, TageStep};
 pub use threshold::AdaptiveThreshold;

@@ -2,8 +2,39 @@
 
 use crate::attribution::{AttributionTally, PredictionAttribution};
 use crate::budget::{StorageBudget, StorageItem};
-use crate::frontend::{TageFrontEnd, TagePlan};
+use crate::frontend::{GehlFrontEnd, GehlPlan};
+use crate::tage::{Tage, TageStep};
 use bp_trace::BranchRecord;
+
+/// The part of a host the simulator's fused-column drive can share
+/// among the same-configuration hosts of a column (see
+/// [`ConditionalPredictor::shared_front_end`]).
+///
+/// Two shared front ends compare equal when they are of one kind with
+/// equal configuration and equal state — the condition under which
+/// they compute the same output for every future branch of a trace.
+#[derive(Debug, PartialEq)]
+pub enum SharedFrontEnd<'a> {
+    /// The whole TAGE component of a TAGE + corrector host: index
+    /// inputs, probe, allocation, usefulness and reset. It trains on
+    /// its own lookups only, so its state is a pure function of the
+    /// trace.
+    Tage(&'a mut Tage),
+    /// The global index inputs and index hash of a GEHL host. The GEHL
+    /// tables stay per host: their training threshold reads the whole
+    /// sum, IMLI and local tables included.
+    Gehl(&'a mut GehlFrontEnd),
+}
+
+/// One chunk of a shared front end's output, one slot per record of
+/// the chunk (slots of non-conditional records are ignored).
+#[derive(Debug, Clone, Copy)]
+pub enum SharedPlans<'a> {
+    /// Steps of a shared [`Tage`] ([`Tage::step_block`]).
+    Tage(&'a [TageStep]),
+    /// Plans of a shared [`GehlFrontEnd`] ([`GehlFrontEnd::plan_block`]).
+    Gehl(&'a [GehlPlan]),
+}
 
 /// A conditional branch direction predictor, driven with the CBP protocol:
 /// for each conditional branch the simulator calls
@@ -154,87 +185,101 @@ pub trait ConditionalPredictor: StorageBudget {
         }
     }
 
-    /// The TAGE front end this predictor's lookups run on, when it is a
-    /// TAGE-family host; `None` (the default) otherwise.
+    /// The part of this predictor a fused column may share among its
+    /// same-configuration hosts, when it has one; `None` (the default)
+    /// otherwise.
     ///
-    /// The simulator's fused-column drives group predictors whose front
-    /// ends compare equal — same index geometry, same history — run
-    /// one shared copy of that front end per group, and drive every
-    /// member through the `*_planned` methods below. The purity
-    /// invariant of [`TageFrontEnd`] makes this bit-identical to
-    /// driving each member alone.
-    fn front_end(&mut self) -> Option<&mut TageFrontEnd> {
+    /// The simulator's fused-column drive groups predictors whose
+    /// shared front ends compare equal, runs one of them per group —
+    /// the first member's — over each chunk of records, and drives
+    /// every member through the `*_shared` methods below from its
+    /// output. The other members' own copies are neither read nor
+    /// advanced meanwhile; the drive copies the leader's into them when
+    /// the pass ends. The purity of the shared part makes
+    /// this bit-identical to driving each member alone.
+    fn shared_front_end(&mut self) -> Option<SharedFrontEnd<'_>> {
         None
     }
 
-    /// Predicts the conditional branch at `pc` from `plan`, the shared
-    /// front end's output for this branch, and reports the providing
+    /// Predicts the conditional branch at `pc` from `step`, a shared
+    /// TAGE's output for this branch, and reports the providing
     /// component like
     /// [`predict_attributed`](ConditionalPredictor::predict_attributed).
-    ///
-    /// A TAGE host skips its own index phase and probes through the
-    /// planned rows; its own front end is neither read nor advanced. A
-    /// predictor without a front end owns every index input it reads,
-    /// so the default ignores the plan.
-    fn predict_planned(&mut self, pc: u64, plan: &TagePlan) -> (bool, PredictionAttribution) {
+    /// A TAGE + corrector host runs only its corrector, loop predictor
+    /// and IMLI state. The default, for predictors without a shared
+    /// TAGE, ignores the step.
+    fn predict_from_tage(&mut self, pc: u64, step: &TageStep) -> (bool, PredictionAttribution) {
+        let _ = step;
+        self.predict_attributed(pc)
+    }
+
+    /// Predicts the conditional branch at `pc` from `plan`, a shared
+    /// GEHL front end's output for this branch, like
+    /// [`predict_from_tage`](ConditionalPredictor::predict_from_tage):
+    /// a GEHL host adds its own IMLI term to the planned global indices
+    /// and reads its own tables. The default ignores the plan.
+    fn predict_from_gehl(&mut self, pc: u64, plan: &GehlPlan) -> (bool, PredictionAttribution) {
         let _ = plan;
         self.predict_attributed(pc)
     }
 
     /// Trains with the resolved outcome of the branch just predicted by
-    /// [`predict_planned`](ConditionalPredictor::predict_planned), and
-    /// advances every index input the shared front end does *not* own
-    /// (local histories, IMLI state). The default is
-    /// [`update`](ConditionalPredictor::update).
-    fn update_planned(&mut self, record: &BranchRecord) {
+    /// a `predict_from_*` method, and advances every index input the
+    /// shared front end does *not* own (local histories, IMLI state).
+    /// The default is [`update`](ConditionalPredictor::update).
+    fn update_shared(&mut self, record: &BranchRecord) {
         self.update(record);
     }
 
     /// The non-conditional counterpart of
-    /// [`update_planned`](ConditionalPredictor::update_planned). The
+    /// [`update_shared`](ConditionalPredictor::update_shared). The
     /// default is
     /// [`notify_nonconditional`](ConditionalPredictor::notify_nonconditional).
-    fn notify_planned(&mut self, record: &BranchRecord) {
+    fn notify_shared(&mut self, record: &BranchRecord) {
         self.notify_nonconditional(record);
     }
 
-    /// Commits a block from shared front-end plans (`plans[i]` is the
-    /// plan of `block[i]`; slots of non-conditional records are
-    /// ignored) with the CBP protocol of the `*_planned` methods.
-    fn run_block_planned(
+    /// Commits a block from a shared front end's output (`plans` holds
+    /// one slot per record of `block`) with the CBP protocol of the
+    /// `*_shared` methods.
+    fn run_block_shared(
         &mut self,
         block: &[BranchRecord],
-        plans: &[TagePlan],
+        plans: SharedPlans<'_>,
         stats: &mut PredictorStats,
     ) {
-        for (record, plan) in block.iter().zip(plans) {
-            if record.is_conditional() {
-                let (pred, _) = self.predict_planned(record.pc, plan);
-                stats.record(pred == record.taken);
-                self.update_planned(record);
-            } else {
-                self.notify_planned(record);
+        let record = |pred: bool, _: &PredictionAttribution, taken: bool| {
+            stats.record(pred == taken);
+        };
+        match plans {
+            SharedPlans::Tage(steps) => {
+                commit_shared(self, block, steps, Self::predict_from_tage, record)
+            }
+            SharedPlans::Gehl(plans) => {
+                commit_shared(self, block, plans, Self::predict_from_gehl, record)
             }
         }
     }
 
-    /// [`run_block_planned`](ConditionalPredictor::run_block_planned)
+    /// [`run_block_shared`](ConditionalPredictor::run_block_shared)
     /// that also folds every prediction into `tally`.
-    fn run_block_planned_attributed(
+    fn run_block_shared_attributed(
         &mut self,
         block: &[BranchRecord],
-        plans: &[TagePlan],
+        plans: SharedPlans<'_>,
         stats: &mut PredictorStats,
         tally: &mut AttributionTally,
     ) {
-        for (record, plan) in block.iter().zip(plans) {
-            if record.is_conditional() {
-                let (pred, attribution) = self.predict_planned(record.pc, plan);
-                stats.record(pred == record.taken);
-                tally.record(&attribution, pred, record.taken);
-                self.update_planned(record);
-            } else {
-                self.notify_planned(record);
+        let record = |pred: bool, attribution: &PredictionAttribution, taken: bool| {
+            stats.record(pred == taken);
+            tally.record(attribution, pred, taken);
+        };
+        match plans {
+            SharedPlans::Tage(steps) => {
+                commit_shared(self, block, steps, Self::predict_from_tage, record)
+            }
+            SharedPlans::Gehl(plans) => {
+                commit_shared(self, block, plans, Self::predict_from_gehl, record)
             }
         }
     }
@@ -259,6 +304,31 @@ fn step_record<P: ConditionalPredictor + ?Sized>(
         predictor.update(record);
     } else {
         predictor.notify_nonconditional(record);
+    }
+}
+
+/// The per-record loop of the provided
+/// [`ConditionalPredictor::run_block_shared`] drives: `predict` one
+/// conditional from its slot of `plans`, hand the outcome to `record`,
+/// train through [`ConditionalPredictor::update_shared`]; notify the
+/// rest. Generic over the plan kind so both kinds and both tallies
+/// share one protocol.
+#[inline]
+fn commit_shared<P: ConditionalPredictor + ?Sized, T>(
+    predictor: &mut P,
+    block: &[BranchRecord],
+    plans: &[T],
+    predict: impl Fn(&mut P, u64, &T) -> (bool, PredictionAttribution),
+    mut record: impl FnMut(bool, &PredictionAttribution, bool),
+) {
+    for (branch, plan) in block.iter().zip(plans) {
+        if branch.is_conditional() {
+            let (pred, attribution) = predict(predictor, branch.pc, plan);
+            record(pred, &attribution, branch.taken);
+            predictor.update_shared(branch);
+        } else {
+            predictor.notify_shared(branch);
+        }
     }
 }
 
@@ -310,39 +380,43 @@ impl ConditionalPredictor for Box<dyn ConditionalPredictor + Send> {
         (**self).run_block_attributed(block, stats, tally)
     }
 
-    fn front_end(&mut self) -> Option<&mut TageFrontEnd> {
-        (**self).front_end()
+    fn shared_front_end(&mut self) -> Option<SharedFrontEnd<'_>> {
+        (**self).shared_front_end()
     }
 
-    fn predict_planned(&mut self, pc: u64, plan: &TagePlan) -> (bool, PredictionAttribution) {
-        (**self).predict_planned(pc, plan)
+    fn predict_from_tage(&mut self, pc: u64, step: &TageStep) -> (bool, PredictionAttribution) {
+        (**self).predict_from_tage(pc, step)
     }
 
-    fn update_planned(&mut self, record: &BranchRecord) {
-        (**self).update_planned(record)
+    fn predict_from_gehl(&mut self, pc: u64, plan: &GehlPlan) -> (bool, PredictionAttribution) {
+        (**self).predict_from_gehl(pc, plan)
     }
 
-    fn notify_planned(&mut self, record: &BranchRecord) {
-        (**self).notify_planned(record)
+    fn update_shared(&mut self, record: &BranchRecord) {
+        (**self).update_shared(record)
     }
 
-    fn run_block_planned(
+    fn notify_shared(&mut self, record: &BranchRecord) {
+        (**self).notify_shared(record)
+    }
+
+    fn run_block_shared(
         &mut self,
         block: &[BranchRecord],
-        plans: &[TagePlan],
+        plans: SharedPlans<'_>,
         stats: &mut PredictorStats,
     ) {
-        (**self).run_block_planned(block, plans, stats)
+        (**self).run_block_shared(block, plans, stats)
     }
 
-    fn run_block_planned_attributed(
+    fn run_block_shared_attributed(
         &mut self,
         block: &[BranchRecord],
-        plans: &[TagePlan],
+        plans: SharedPlans<'_>,
         stats: &mut PredictorStats,
         tally: &mut AttributionTally,
     ) {
-        (**self).run_block_planned_attributed(block, plans, stats, tally)
+        (**self).run_block_shared_attributed(block, plans, stats, tally)
     }
 
     fn name(&self) -> &str {

@@ -1,10 +1,16 @@
 //! The TAGE predictor (Seznec & Michaud 2006; Seznec 2011).
+//!
+//! It lives beside the [`ConditionalPredictor`](crate::ConditionalPredictor)
+//! trait rather than in `bp-tage` because the trait hands a host's whole
+//! TAGE to the simulator's fused-column drive (see [`TageStep`]).
 
-pub use bp_components::MAX_TAGE_TABLES;
-use bp_components::{
-    BimodalTable, ConfigError, ConfigValue, SaturatingCounter, StorageItem, TageFrontEnd, TagePlan,
-};
+use crate::bimodal::BimodalTable;
+use crate::budget::StorageItem;
+use crate::config::{ConfigError, ConfigValue};
+use crate::counter::SaturatingCounter;
+use crate::frontend::{TageFrontEnd, MAX_TAGE_TABLES};
 use bp_history::HistoryState;
+use bp_trace::BranchRecord;
 
 /// Geometry of a [`Tage`] predictor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,6 +116,9 @@ impl TageConfig {
         if !((2..=5).contains(&self.counter_bits) && (1..=4).contains(&self.useful_bits)) {
             return Err("counter widths out of range".into());
         }
+        if !(1..=64).contains(&self.path_bits) {
+            return Err("path_bits must be in 1..=64".into());
+        }
         Ok(())
     }
 
@@ -133,7 +142,7 @@ impl TageConfig {
     /// this geometry. Configurations that agree on the tagged-table
     /// geometry, history series and path width build equal front ends.
     // bp-lint: allow-item(hot-path-alloc, "front-end construction is cold, once per predictor or fused column")
-    pub fn front_end(&self) -> TageFrontEnd {
+    pub(crate) fn front_end(&self) -> TageFrontEnd {
         let lengths: Vec<usize> = (0..self.num_tables())
             .map(|i| self.history_length(i))
             .collect();
@@ -197,7 +206,7 @@ impl TageConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct TaggedEntry {
     ctr: SaturatingCounter,
     tag: u16,
@@ -210,7 +219,7 @@ struct TaggedEntry {
 /// fixed-capacity inline arrays (bounded by [`MAX_TAGE_TABLES`]), so
 /// taking, caching, and returning a lookup never touches the heap —
 /// this runs once per conditional branch.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TageLookup {
     /// Per-table computed indices (first `num_tables` slots are live).
     indices: [u32; MAX_TAGE_TABLES],
@@ -289,6 +298,35 @@ impl TageLookup {
     }
 }
 
+/// What a TAGE host's corrector and attribution read of one TAGE lookup,
+/// plus the history views captured with it: the whole per-branch
+/// output of a TAGE component.
+///
+/// The TAGE part of a TAGE + corrector host trains on its own lookup
+/// only — the corrector, loop predictor and IMLI never feed back into
+/// it — so its whole state is a pure function of the trace. Hosts with
+/// equal TAGE configuration and state therefore produce equal steps for
+/// every branch, and the simulator's fused-column drive runs one TAGE
+/// per group of such hosts ([`Tage::step_block`]) and lets every member
+/// finish its prediction from the shared steps.
+///
+/// 24 bytes, `Copy`: a chunk of steps is flat pre-sized scratch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TageStep {
+    /// The 64 newest global-history outcomes, newest in bit 0.
+    pub ghist: u64,
+    /// The packed path history.
+    pub path: u64,
+    /// The final TAGE prediction ([`TageLookup::pred`]).
+    pub pred: bool,
+    /// [`TageLookup::low_confidence`].
+    pub low_confidence: bool,
+    /// [`TageLookup::alternate_pred`].
+    pub alternate_pred: bool,
+    /// [`TageLookup::providing_bank`] (`None` = the bimodal base).
+    pub providing_bank: Option<u8>,
+}
+
 /// The TAGE predictor: a bimodal base plus `N` partially tagged tables
 /// indexed with geometrically increasing global-history folds; the
 /// longest history match provides the prediction (PPM-like prediction by
@@ -298,7 +336,7 @@ impl TageLookup {
 /// policy: alt-on-newly-allocated tracking, usefulness counters with
 /// graceful periodic reset, and single-entry allocation on misprediction
 /// with deterministic pseudo-random table choice.
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq)]
 pub struct Tage {
     config: TageConfig,
     base: BimodalTable,
@@ -307,13 +345,42 @@ pub struct Tage {
     /// One allocation instead of `N` keeps bank probes on the same
     /// cache-friendly backing and removes a pointer chase per probe.
     tables: Vec<TaggedEntry>,
-    /// The index inputs and index/tag hash (see [`TageFrontEnd`]).
+    /// The index inputs and index/tag hash.
     front: TageFrontEnd,
     use_alt_on_na: SaturatingCounter,
     tick: u64,
     reset_msb: bool,
     alloc_seed: u64,
     lookup: Option<TageLookup>,
+}
+
+impl Clone for Tage {
+    // bp-lint: allow-item(hot-path-alloc, "cold: a whole-predictor copy, never on the per-branch path")
+    fn clone(&self) -> Self {
+        Tage {
+            config: self.config.clone(),
+            base: self.base.clone(),
+            tables: self.tables.clone(),
+            front: self.front.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into the existing tables: the fused-column drive
+    /// hands a group's TAGE to every member this way once per pass, and
+    /// reusing the member's own allocation keeps that copy from adding a
+    /// second set of tables to the peak footprint.
+    fn clone_from(&mut self, source: &Self) {
+        self.config.clone_from(&source.config);
+        self.base.clone_from(&source.base);
+        self.tables.clone_from(&source.tables);
+        self.front.clone_from(&source.front);
+        self.use_alt_on_na = source.use_alt_on_na;
+        self.tick = source.tick;
+        self.reset_msb = source.reset_msb;
+        self.alloc_seed = source.alloc_seed;
+        self.lookup = source.lookup;
+    }
 }
 
 impl Tage {
@@ -353,11 +420,6 @@ impl Tage {
     /// global/path history from here for its corrector components).
     pub fn history(&self) -> &HistoryState {
         self.front.history()
-    }
-
-    /// The front end this TAGE's own lookups run on.
-    pub fn front_end(&mut self) -> &mut TageFrontEnd {
-        &mut self.front
     }
 
     /// The entry of tagged table `table` at `index` in the flattened
@@ -426,9 +488,7 @@ impl Tage {
     /// The probe phase of a lookup: walk the banks longest-history-first
     /// through the given row addresses, resolve provider/alternate and
     /// the `use_alt_on_na` policy, and cache the result for the
-    /// subsequent [`Tage::update`]. Shared verbatim by
-    /// [`Tage::lookup`] and [`Tage::lookup_planned`], so the
-    /// match/decision logic is one piece of code for both.
+    /// subsequent [`Tage::update`].
     #[inline]
     fn probe(
         &mut self,
@@ -479,15 +539,42 @@ impl Tage {
         lookup
     }
 
-    /// [`Tage::lookup`] through a front-end [`TagePlan`]: skips the
-    /// index phase and probes the banks through the planned row
-    /// addresses. Caches the lookup for the subsequent [`Tage::update`]
-    /// exactly like `lookup`. The plan came from a front end equal to
-    /// this TAGE's own at this point of the trace, so it holds exactly
-    /// the addresses `lookup` would compute.
+    /// [`Tage::lookup`] reduced to the [`TageStep`] a host's corrector
+    /// and attribution read, with the history views of this branch.
+    /// The lookup stays cached for the subsequent [`Tage::update`].
     #[inline]
-    pub fn lookup_planned(&mut self, pc: u64, plan: &TagePlan) -> TageLookup {
-        self.probe(pc, plan.indices, plan.tags)
+    pub fn lookup_step(&mut self, pc: u64) -> TageStep {
+        let lookup = self.lookup(pc);
+        TageStep {
+            ghist: self.front.history().global().low_bits(64),
+            path: self.front.history().path(),
+            pred: lookup.pred,
+            low_confidence: lookup.low_confidence,
+            alternate_pred: lookup.alternate_pred(),
+            providing_bank: lookup.providing_bank().map(|bank| bank as u8),
+        }
+    }
+
+    /// Runs this TAGE over `records` as a host's TAGE component would:
+    /// for every conditional, looks it up into the matching slot of
+    /// `steps`, trains with the outcome and pushes it into the
+    /// histories; every other record pushes path history only. Slots of
+    /// non-conditional records are left untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps` is shorter than `records`.
+    #[inline]
+    pub fn step_block(&mut self, records: &[BranchRecord], steps: &mut [TageStep]) {
+        for (record, step) in records.iter().zip(&mut steps[..records.len()]) {
+            if record.is_conditional() {
+                *step = self.lookup_step(record.pc);
+                self.update(record.pc, record.taken);
+                self.push_history(record.pc, record.taken);
+            } else {
+                self.push_path(record.pc);
+            }
+        }
     }
 
     #[inline]
@@ -645,7 +732,7 @@ impl Tage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_components::low_mask;
+    use crate::frontend::low_mask;
 
     fn run_branch<F: FnMut(u64) -> bool>(
         tage: &mut Tage,
@@ -798,10 +885,10 @@ mod tests {
             let mut pc = 0x9E37_79B9u64;
             for step in 0..2048u64 {
                 pc = pc.wrapping_mul(0x2545_F491_4F6C_DD1D).rotate_left(13);
-                let pcb = bp_components::pc_bits(pc);
+                let pcb = crate::pc_bits(pc);
                 let mut indices = [0u32; MAX_TAGE_TABLES];
                 let mut tags = [0u16; MAX_TAGE_TABLES];
-                tage.front_end().index_phase(pc, &mut indices, &mut tags);
+                tage.front.index_phase(pc, &mut indices, &mut tags);
                 let hist = tage.history();
                 for (i, &index) in indices[..config.num_tables()].iter().enumerate() {
                     let hlen = config.history_length(i);
@@ -810,7 +897,7 @@ mod tests {
                     let expected = (pcb
                         ^ (pcb >> pc_shift)
                         ^ u64::from(hist.fold(3 * i))
-                        ^ bp_components::fold_u64((hist.path() & path_mask).max(1), log.min(16)))
+                        ^ crate::fold_u64((hist.path() & path_mask).max(1), log.min(16)))
                         & low_mask(log);
                     assert_eq!(u64::from(index), expected, "table {i} at step {step}");
                 }

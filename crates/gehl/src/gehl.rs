@@ -2,10 +2,11 @@
 
 use bp_components::{
     mix64, pc_bits, sum_centered_padded, AdaptiveThreshold, ConditionalPredictor, ConfidenceBucket,
-    ConfigError, ConfigValue, CounterBank, LoopPredictor, LoopPredictorConfig,
-    PredictionAttribution, PredictorConfig, ProviderComponent, StorageBudget, StorageItem, SumCtx,
+    ConfigError, ConfigValue, CounterBank, GehlFrontEnd, GehlPlan, LoopPredictor,
+    LoopPredictorConfig, PredictionAttribution, PredictorConfig, ProviderComponent, SharedFrontEnd,
+    StorageBudget, StorageItem, SumCtx,
 };
-use bp_history::{HistoryState, LocalHistoryTable};
+use bp_history::LocalHistoryTable;
 use bp_trace::BranchRecord;
 use imli::{ImliConfig, ImliState};
 
@@ -165,6 +166,9 @@ impl GehlConfig {
         if !(0..=self.threshold_max).contains(&self.threshold_init) {
             return Err("threshold_init must be in 0..=threshold_max".into());
         }
+        if !(1..=64).contains(&self.path_bits) {
+            return Err("path_bits must be in 1..=64".into());
+        }
         if let Some(imli) = &self.imli {
             imli.check()?;
         }
@@ -304,13 +308,8 @@ const GEHL_MAX_ADDENDS: usize = 64 + 64;
 pub struct Gehl {
     config: GehlConfig,
     tables: CounterBank,
-    folds: Vec<Option<usize>>,
-    /// Per-table `history_length(i)` hoisted out of the per-branch
-    /// index loops: the geometric series involves a `powf`, and the
-    /// original code recomputed it per table per prediction *and* per
-    /// update — the single hottest constant on the GEHL profile.
-    hist_lens: Vec<u64>,
-    history: HistoryState,
+    /// The global index inputs and index hash (see [`GehlFrontEnd`]).
+    front: GehlFrontEnd,
     local_history: Option<LocalHistoryTable>,
     local_tables: Option<CounterBank>,
     imli: Option<ImliState>,
@@ -334,21 +333,18 @@ impl Gehl {
     // bp-lint: allow-item(hot-path-alloc, "table construction is cold; steady-state predict/update is allocation-free (tests/hotpath_allocations.rs)")
     pub fn new(config: GehlConfig) -> Self {
         config.validate();
-        let capacity = (config.max_history + 1).next_power_of_two().max(2048);
-        let mut history = HistoryState::new(capacity, config.path_bits);
-        let mut folds = Vec::with_capacity(config.num_tables);
-        let mut hist_lens = Vec::with_capacity(config.num_tables);
-        for i in 0..config.num_tables {
-            let hlen = config.history_length(i);
-            folds.push((hlen > 0).then(|| history.add_fold(hlen, config.log_entries)));
-            hist_lens.push(hlen as u64);
-        }
+        let lengths: Vec<usize> = (0..config.num_tables)
+            .map(|i| config.history_length(i))
+            .collect();
         let entries = 1usize << config.log_entries;
         Gehl {
             tables: CounterBank::new(config.num_tables, entries, config.counter_bits),
-            folds,
-            hist_lens,
-            history,
+            front: GehlFrontEnd::new(
+                config.log_entries,
+                config.path_bits,
+                config.max_history,
+                &lengths,
+            ),
             local_history: config
                 .local
                 .map(|(width, _)| LocalHistoryTable::new(256, width)),
@@ -373,22 +369,6 @@ impl Gehl {
     /// Read-only access to the embedded IMLI state, when configured.
     pub fn imli(&self) -> Option<&ImliState> {
         self.imli.as_ref()
-    }
-
-    #[inline]
-    fn table_index(&self, i: usize, pc: u64, imli_count: u32) -> u64 {
-        let mut v = pc_bits(pc) ^ ((i as u64) << 59);
-        if let Some(fold) = self.folds[i] {
-            let hlen = self.hist_lens[i];
-            v ^= u64::from(self.history.fold(fold)) ^ (hlen << 13);
-            v ^= self.history.path() & 0x3F;
-        }
-        // Paper §4.2: folding the IMLI counter into two of the global
-        // table indices increases the SIC benefit.
-        if self.imli.is_some() && (i == 2 || i == 3) {
-            v ^= mix64(u64::from(imli_count)) >> 7;
-        }
-        v
     }
 
     #[inline]
@@ -421,17 +401,31 @@ impl Gehl {
         parts
     }
 
-    /// The shared prediction path behind both [`predict`] and
-    /// [`predict_attributed`] — one flow, so they can never diverge.
+    /// The prediction path behind [`predict`], [`predict_attributed`]
+    /// and [`predict_from_gehl`] — one flow, so they can never diverge.
+    /// `ghist`/`path` are the history views of this branch and
+    /// `global_index(front, i)` global table `i`'s row hash before the
+    /// IMLI term: computed from this predictor's own front end (solo)
+    /// or read from a shared front end's plan.
     ///
     /// [`predict`]: ConditionalPredictor::predict
     /// [`predict_attributed`]: ConditionalPredictor::predict_attributed
+    /// [`predict_from_gehl`]: ConditionalPredictor::predict_from_gehl
     #[inline]
-    fn predict_full(&mut self, pc: u64) -> (bool, PredictionAttribution) {
+    fn predict_with<F>(
+        &mut self,
+        pc: u64,
+        ghist: u64,
+        path: u64,
+        global_index: F,
+    ) -> (bool, PredictionAttribution)
+    where
+        F: Fn(&GehlFrontEnd, usize) -> u64,
+    {
         let mut ctx = SumCtx {
             pc,
-            ghist: self.history.global().low_bits(64),
-            path: self.history.path(),
+            ghist,
+            path,
             ..SumCtx::default()
         };
         if let Some(lh) = &self.local_history {
@@ -452,7 +446,12 @@ impl Gehl {
         let n_global = self.tables.tables();
         let mut values = [0i8; GEHL_MAX_ADDENDS];
         for (i, value) in values[..n_global].iter_mut().enumerate() {
-            let idx = self.table_index(i, pc, ctx.imli_count);
+            let mut idx = global_index(&self.front, i);
+            // Paper §4.2: folding the IMLI counter into two of the
+            // global table indices increases the SIC benefit.
+            if self.imli.is_some() && (i == 2 || i == 3) {
+                idx ^= mix64(u64::from(ctx.imli_count)) >> 7;
+            }
             self.indices[i] = idx;
             *value = self.tables.value(i, idx);
         }
@@ -500,14 +499,49 @@ impl Gehl {
 
 impl ConditionalPredictor for Gehl {
     fn predict(&mut self, pc: u64) -> bool {
-        self.predict_full(pc).0
+        self.predict_attributed(pc).0
     }
 
     fn predict_attributed(&mut self, pc: u64) -> (bool, PredictionAttribution) {
-        self.predict_full(pc)
+        let history = self.front.history();
+        let (ghist, path) = (history.global().low_bits(64), history.path());
+        self.predict_with(pc, ghist, path, |front, i| front.table_index(i, pc))
     }
 
+    // The solo protocol is the shared one plus this predictor's own
+    // front-end advance, so the two cannot diverge.
     fn update(&mut self, record: &BranchRecord) {
+        self.update_shared(record);
+        self.front.push(record.pc, record.taken);
+    }
+
+    fn flush_history(&mut self) {
+        self.front.flush();
+        if let Some(lh) = &mut self.local_history {
+            lh.clear();
+        }
+        if let Some(imli) = &mut self.imli {
+            imli.flush_history();
+        }
+    }
+
+    fn notify_nonconditional(&mut self, record: &BranchRecord) {
+        self.notify_shared(record);
+        self.front.push_path(record.pc);
+    }
+
+    fn shared_front_end(&mut self) -> Option<SharedFrontEnd<'_>> {
+        Some(SharedFrontEnd::Gehl(&mut self.front))
+    }
+
+    fn predict_from_gehl(&mut self, pc: u64, plan: &GehlPlan) -> (bool, PredictionAttribution) {
+        self.predict_with(pc, plan.ghist, plan.path, |_, i| u64::from(plan.indices[i]))
+    }
+
+    /// Trains the loop predictor, the tables, IMLI and the threshold
+    /// through the stashed lookup, then advances the local histories
+    /// and IMLI state. The global history belongs to the front end.
+    fn update_shared(&mut self, record: &BranchRecord) {
         // bp-lint: allow(panic-surface, "CBP protocol contract: update() without a pending predict() is caller error, not data-dependent")
         let (ctx, sum, _loop_used) = self.lookup.take().expect("update without pending predict");
         let taken = record.taken;
@@ -542,24 +576,12 @@ impl ConditionalPredictor for Gehl {
         if let Some(lh) = &mut self.local_history {
             lh.update(record.pc, taken);
         }
-        self.history.push(taken, record.pc);
     }
 
-    fn flush_history(&mut self) {
-        self.history.flush();
-        if let Some(lh) = &mut self.local_history {
-            lh.clear();
-        }
-        if let Some(imli) = &mut self.imli {
-            imli.flush_history();
-        }
-    }
-
-    fn notify_nonconditional(&mut self, record: &BranchRecord) {
+    fn notify_shared(&mut self, record: &BranchRecord) {
         if let Some(imli) = &mut self.imli {
             imli.observe(record);
         }
-        self.history.push_path_only(record.pc);
     }
 
     fn prefetch(&self, pc: u64) {
@@ -568,7 +590,7 @@ impl ConditionalPredictor for Gehl {
         // all live in an L1/L2-resident ~26 KB bank where extra
         // prefetches were measured as pure overhead, so only the exact
         // row (and the loop predictor's) are requested.
-        self.tables.prefetch(0, self.table_index(0, pc, 0));
+        self.tables.prefetch(0, self.front.table_index(0, pc));
         if let Some(lp) = &self.loop_pred {
             lp.prefetch(pc);
         }

@@ -214,7 +214,7 @@ pub struct Policy {
 pub fn default_policy() -> Policy {
     Policy {
         hot_modules: &[
-            "crates/tage/src/tage.rs",
+            "crates/components/src/tage.rs",
             "crates/tage/src/composed.rs",
             "crates/gehl/src/gehl.rs",
             "crates/perceptron/src/lib.rs",
@@ -235,6 +235,8 @@ pub fn default_policy() -> Policy {
             "crates/sim/src/scenario.rs",
             "crates/sim/src/sweep.rs",
             "crates/components/src/config.rs",
+            "crates/components/src/frontend.rs",
+            "crates/components/src/tage.rs",
             "crates/bench/src/sim_bench.rs",
             "crates/bench/src/trace_bench.rs",
         ],
@@ -244,7 +246,7 @@ pub fn default_policy() -> Policy {
             "crates/components/src/config.rs",
             "crates/sim/src/registry.rs",
             "crates/sim/src/sweep.rs",
-            "crates/tage/src/tage.rs",
+            "crates/components/src/tage.rs",
             "crates/tage/src/sc.rs",
             "crates/tage/src/composed.rs",
             "crates/gehl/src/gehl.rs",

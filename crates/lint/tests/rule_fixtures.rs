@@ -4,7 +4,7 @@
 
 use bp_lint::{default_policy, lint_source, Rule};
 
-const HOT_PATH: &str = "crates/tage/src/tage.rs";
+const HOT_PATH: &str = "crates/tage/src/composed.rs";
 const DET_PATH: &str = "crates/sim/src/report.rs";
 const PANIC_PATH: &str = "crates/components/src/config.rs";
 const NEUTRAL_PATH: &str = "crates/trace/src/lib.rs";

@@ -108,6 +108,9 @@ impl PerceptronConfig {
         if !(0..=self.threshold_max).contains(&self.threshold_init) {
             return Err("threshold_init must be in 0..=threshold_max".into());
         }
+        if !(1..=64).contains(&self.path_bits) {
+            return Err("path_bits must be in 1..=64".into());
+        }
         for w in self.segments.windows(2) {
             if w[0] >= w[1] {
                 return Err("segments must be strictly increasing".into());

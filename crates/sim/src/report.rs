@@ -259,9 +259,10 @@ impl PhaseSplit {
 ///
 /// The stream is pulled once in blocks, and each block phase is driven
 /// through the same shared-front-end column drive as the plain fused
-/// path: TAGE hosts with equal front ends commit from one front-end
-/// pass, every other predictor consumes the whole block phase before
-/// the next. The warmup boundary is applied per record from the running
+/// path: TAGE hosts with equal TAGE state commit from one TAGE pass,
+/// GEHL hosts with equal global front ends from one front-end pass,
+/// and every other predictor consumes the whole block phase before the
+/// next. The warmup boundary is applied per record from the running
 /// instruction total, which is a pure function of the record sequence
 /// — so every predictor sees the identical warmup/steady split, and
 /// every returned [`AttributedRun`] is bit-identical to a solo

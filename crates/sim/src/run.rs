@@ -213,18 +213,19 @@ pub fn drive_block<P: ConditionalPredictor + ?Sized>(
 ///
 /// The stream is pulled once, in blocks of 4096 records
 /// (`MULTI_BLOCK_RECORDS`), and each block is driven through a
-/// shared-front-end column drive: TAGE hosts with equal front ends
-/// share one front-end pass per 512-record chunk and commit from its
-/// plans, every other predictor consumes the whole block before the
-/// next starts. Per-record broadcast (predictor-inner loop) would touch
+/// shared-front-end column drive: TAGE hosts with equal TAGE state
+/// share one TAGE pass, and GEHL hosts with equal global front ends one
+/// front-end pass, per 256-record chunk and commit from its output;
+/// every other predictor consumes the whole block before the next
+/// starts. Per-record broadcast (predictor-inner loop) would touch
 /// every predictor's tables on every record and thrash the cache; the
 /// blocked sweep keeps one predictor's working set hot for hundreds to
 /// thousands of records while still generating/decoding the stream
 /// exactly once instead of `N` times.
 ///
 /// Because the predictors are independent state machines driven with
-/// the identical record sequence, and a shared front end computes
-/// exactly what each member's own would, the returned results are
+/// the identical record sequence, and a shared TAGE or front end
+/// computes exactly what each member's own would, the returned results are
 /// **bit-identical** to running [`simulate_stream`] once per predictor
 /// over equal streams — and so is every predictor's state afterwards.
 ///

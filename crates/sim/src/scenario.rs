@@ -415,11 +415,13 @@ const SCENARIO_BLOCK_EVENTS: usize = 4096;
 /// pulled once in blocks, and each block is split into runs of one
 /// tenant's records at every tenant switch and flush. Each run is
 /// driven through the shared-front-end column drive (TAGE hosts with
-/// equal front ends commit from one front-end pass; everyone else runs
-/// solo) into the tenant's tallies. A flush applies to every predictor
-/// and every shared front end at its stream position: a partial flush
-/// calls [`ConditionalPredictor::flush_history`], a full flush rebuilds
-/// the predictor cold from its spec.
+/// equal TAGE state commit from one TAGE pass, GEHL hosts with equal
+/// global front ends from one front-end pass; everyone else runs solo)
+/// into the tenant's tallies. A flush applies to every predictor at its
+/// stream position — and so to every group, whose shared part is its
+/// leader's: a partial flush calls
+/// [`ConditionalPredictor::flush_history`], a full flush rebuilds the
+/// predictor cold from its spec.
 ///
 /// The result is a pure function of `(specs, events)` — identical
 /// across runs, worker counts, and against one-predictor-at-a-time
@@ -462,13 +464,11 @@ pub fn simulate_scenario_multi(
                             for predictor in &mut predictors {
                                 predictor.flush_history();
                             }
-                            drive.flush();
                         }
                         FlushMode::Full => {
                             for (spec, predictor) in specs.iter().zip(&mut predictors) {
                                 *predictor = spec.make();
                             }
-                            drive.reload(&mut predictors);
                         }
                     }
                     continue;

@@ -1,11 +1,10 @@
 //! The composed TAGE + SC (+ loop predictor) predictors of the paper.
 
 use crate::sc::{LocalScConfig, ScConfig, ScLookup, StatisticalCorrector};
-use crate::tage::{Tage, TageConfig, TageLookup};
 use bp_components::{
     low_mask, ConditionalPredictor, ConfidenceBucket, ConfigError, ConfigValue, LoopPredictor,
-    LoopPredictorConfig, PredictionAttribution, PredictorConfig, ProviderComponent, StorageBudget,
-    StorageItem, TageFrontEnd, TagePlan,
+    LoopPredictorConfig, PredictionAttribution, PredictorConfig, ProviderComponent, SharedFrontEnd,
+    StorageBudget, StorageItem, Tage, TageConfig, TageStep,
 };
 use bp_trace::BranchRecord;
 use imli::{ImliCheckpoint, ImliConfig};
@@ -250,32 +249,31 @@ impl TageSc {
         parts
     }
 
-    /// The shared prediction path behind both [`predict`] and
-    /// [`predict_attributed`]: one flow, so the two can never diverge;
-    /// the attribution is assembled from values the prediction needs
-    /// anyway and optimizes away when the caller drops it.
+    /// The prediction path behind [`predict`], [`predict_attributed`]
+    /// and [`predict_from_tage`]: everything downstream of the TAGE
+    /// lookup `step` — this predictor's own (solo) or a shared TAGE's —
+    /// so the decision flow cannot diverge. It runs the corrector
+    /// lookup, the possible corrector revert and the loop override; the
+    /// attribution is assembled from values the prediction needs anyway
+    /// and optimizes away when the caller drops it.
     ///
     /// [`predict`]: ConditionalPredictor::predict
     /// [`predict_attributed`]: ConditionalPredictor::predict_attributed
+    /// [`predict_from_tage`]: ConditionalPredictor::predict_from_tage
     #[inline]
-    fn predict_full(&mut self, pc: u64) -> (bool, PredictionAttribution) {
-        let tl = self.tage.lookup(pc);
-        let ghist = self.tage.history().global().low_bits(self.ghist_window);
-        let path = self.tage.history().path();
-        let sl = self.sc.predict(pc, tl.pred, tl.low_confidence, ghist, path);
-        self.finish_predict(pc, tl, sl)
+    fn predict_from(&mut self, pc: u64, step: &TageStep) -> (bool, PredictionAttribution) {
+        let ghist = step.ghist & low_mask(self.ghist_window);
+        let sl = self
+            .sc
+            .predict(pc, step.pred, step.low_confidence, ghist, step.path);
+        self.finish_predict(pc, step, sl)
     }
 
-    /// Everything downstream of the TAGE and corrector lookups: the
-    /// possible corrector revert, loop override, attribution. One
-    /// function behind the solo path (lookups from this predictor's own
-    /// front end) and the planned path (lookups through a shared
-    /// front end's plans), so the decision flow cannot diverge.
     #[inline]
     fn finish_predict(
         &mut self,
         pc: u64,
-        tl: TageLookup,
+        tl: &TageStep,
         sl: ScLookup,
     ) -> (bool, PredictionAttribution) {
         let mut pred = sl.pred;
@@ -288,11 +286,11 @@ impl TageSc {
             )
         } else {
             PredictionAttribution::new(
-                match tl.providing_bank() {
-                    Some(bank) => ProviderComponent::Tagged(bank as u8),
+                match tl.providing_bank {
+                    Some(bank) => ProviderComponent::Tagged(bank),
                     None => ProviderComponent::Base,
                 },
-                Some(tl.alternate_pred()),
+                Some(tl.alternate_pred),
                 if tl.low_confidence {
                     ConfidenceBucket::Low
                 } else {
@@ -319,7 +317,7 @@ impl TageSc {
 
 impl ConditionalPredictor for TageSc {
     fn predict(&mut self, pc: u64) -> bool {
-        self.predict_full(pc).0
+        self.predict_attributed(pc).0
     }
 
     fn prefetch(&self, pc: u64) {
@@ -338,13 +336,15 @@ impl ConditionalPredictor for TageSc {
     }
 
     fn predict_attributed(&mut self, pc: u64) -> (bool, PredictionAttribution) {
-        self.predict_full(pc)
+        let step = self.tage.lookup_step(pc);
+        self.predict_from(pc, &step)
     }
 
-    // The solo protocol is the planned one plus this predictor's own
-    // front-end advance, so the two cannot diverge.
+    // The solo protocol is the shared one plus this predictor's own
+    // TAGE training and history advance, so the two cannot diverge.
     fn update(&mut self, record: &BranchRecord) {
-        self.update_planned(record);
+        self.update_shared(record);
+        self.tage.update(record.pc, record.taken);
         self.tage.push_history(record.pc, record.taken);
     }
 
@@ -354,31 +354,26 @@ impl ConditionalPredictor for TageSc {
     }
 
     fn notify_nonconditional(&mut self, record: &BranchRecord) {
-        self.notify_planned(record);
+        self.notify_shared(record);
         self.tage.push_path(record.pc);
     }
 
-    fn front_end(&mut self) -> Option<&mut TageFrontEnd> {
-        Some(self.tage.front_end())
+    fn shared_front_end(&mut self) -> Option<SharedFrontEnd<'_>> {
+        Some(SharedFrontEnd::Tage(&mut self.tage))
     }
 
-    /// [`ConditionalPredictor::predict`] with the TAGE index phase and
-    /// history views taken from `plan` instead of this predictor's own
-    /// front end. The corrector still computes its own rows: its
-    /// geometry, local histories and IMLI state are per-config.
-    fn predict_planned(&mut self, pc: u64, plan: &TagePlan) -> (bool, PredictionAttribution) {
-        let tl = self.tage.lookup_planned(pc, plan);
-        let ghist = plan.ghist & low_mask(self.ghist_window);
-        let sl = self
-            .sc
-            .predict(pc, tl.pred, tl.low_confidence, ghist, plan.path);
-        self.finish_predict(pc, tl, sl)
+    /// [`ConditionalPredictor::predict`] with the TAGE lookup and
+    /// history views taken from a shared TAGE's `step`. The corrector
+    /// still computes its own rows: its geometry, local histories and
+    /// IMLI state are per-config.
+    fn predict_from_tage(&mut self, pc: u64, step: &TageStep) -> (bool, PredictionAttribution) {
+        self.predict_from(pc, step)
     }
 
-    /// Trains the loop predictor, corrector and TAGE tables through
-    /// the stashed lookups, then advances the corrector's own index
-    /// inputs. The TAGE histories belong to the front end.
-    fn update_planned(&mut self, record: &BranchRecord) {
+    /// Trains the loop predictor and corrector through the stashed
+    /// lookups, then advances the corrector's own index inputs. The
+    /// TAGE component belongs to the shared TAGE.
+    fn update_shared(&mut self, record: &BranchRecord) {
         let mispredicted = self.last_pred != record.taken;
         if let Some(lp) = &mut self.loop_pred {
             // Allocate only for backward (loop-closing) branches so that
@@ -391,11 +386,10 @@ impl ConditionalPredictor for TageSc {
             );
         }
         self.sc.update(record.taken);
-        self.tage.update(record.pc, record.taken);
         self.sc.observe(record);
     }
 
-    fn notify_planned(&mut self, record: &BranchRecord) {
+    fn notify_shared(&mut self, record: &BranchRecord) {
         self.sc.observe(record);
     }
 

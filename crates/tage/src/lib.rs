@@ -3,7 +3,9 @@
 //! This crate provides the paper's host predictors from the TAGE family
 //! (§3.2.1):
 //!
-//! * [`Tage`] — the tagged-geometric-history-length predictor proper,
+//! * [`Tage`] — the tagged-geometric-history-length predictor proper
+//!   (defined in `bp-components`, beside the predictor trait that
+//!   shares it across a fused simulation column; re-exported here),
 //! * [`StatisticalCorrector`] — the neural corrector stage (GSC), with
 //!   optional IMLI components and optional local-history components,
 //! * [`TageSc`] — the composed predictor, with named configurations:
@@ -16,11 +18,10 @@
 
 mod composed;
 mod sc;
-mod tage;
 
+pub use bp_components::{Tage, TageConfig, TageLookup, TageStep, MAX_TAGE_TABLES};
 pub use composed::{TageSc, TageScConfig};
 pub use sc::{LocalScConfig, ScConfig, StatisticalCorrector};
-pub use tage::{Tage, TageConfig, TageLookup, MAX_TAGE_TABLES};
 
 /// The paper's TAGE-GSC reference predictor (TAGE + global-history
 /// statistical corrector, no local history, no loop predictor, no IMLI).

@@ -2,8 +2,8 @@
 
 use crate::predictor::{Wormhole, WormholeConfig};
 use bp_components::{
-    ConditionalPredictor, ConfidenceBucket, LoopPredictor, LoopPredictorConfig,
-    PredictionAttribution, ProviderComponent, StorageBudget, StorageItem, TageFrontEnd, TagePlan,
+    ConditionalPredictor, ConfidenceBucket, GehlPlan, LoopPredictor, LoopPredictorConfig,
+    PredictionAttribution, ProviderComponent, SharedFrontEnd, StorageBudget, StorageItem, TageStep,
 };
 use bp_trace::BranchRecord;
 
@@ -65,13 +65,12 @@ impl<P: ConditionalPredictor> WormholeAugmented<P> {
     }
 
     /// The shared prediction path behind [`predict`],
-    /// [`predict_attributed`] and [`predict_planned`] — one flow, so
-    /// they can never diverge: the wormhole override applied to the
-    /// main predictor's attributed prediction `main` for `pc`.
+    /// [`predict_attributed`] and the `predict_from_*` methods — one
+    /// flow, so they can never diverge: the wormhole override applied
+    /// to the main predictor's attributed prediction `main` for `pc`.
     ///
     /// [`predict`]: ConditionalPredictor::predict
     /// [`predict_attributed`]: ConditionalPredictor::predict_attributed
-    /// [`predict_planned`]: ConditionalPredictor::predict_planned
     #[inline]
     fn resolve(
         &mut self,
@@ -129,24 +128,29 @@ impl<P: ConditionalPredictor> ConditionalPredictor for WormholeAugmented<P> {
         self.main.update(record);
     }
 
-    // The wrapper reads no TAGE history of its own, so it shares
-    // whatever front end its main predictor has.
-    fn front_end(&mut self) -> Option<&mut TageFrontEnd> {
-        self.main.front_end()
+    // The wrapper reads no history of its own, so it shares whatever
+    // front end its main predictor has.
+    fn shared_front_end(&mut self) -> Option<SharedFrontEnd<'_>> {
+        self.main.shared_front_end()
     }
 
-    fn predict_planned(&mut self, pc: u64, plan: &TagePlan) -> (bool, PredictionAttribution) {
-        let main = self.main.predict_planned(pc, plan);
+    fn predict_from_tage(&mut self, pc: u64, step: &TageStep) -> (bool, PredictionAttribution) {
+        let main = self.main.predict_from_tage(pc, step);
         self.resolve(pc, main)
     }
 
-    fn update_planned(&mut self, record: &BranchRecord) {
-        self.train(record);
-        self.main.update_planned(record);
+    fn predict_from_gehl(&mut self, pc: u64, plan: &GehlPlan) -> (bool, PredictionAttribution) {
+        let main = self.main.predict_from_gehl(pc, plan);
+        self.resolve(pc, main)
     }
 
-    fn notify_planned(&mut self, record: &BranchRecord) {
-        self.main.notify_planned(record);
+    fn update_shared(&mut self, record: &BranchRecord) {
+        self.train(record);
+        self.main.update_shared(record);
+    }
+
+    fn notify_shared(&mut self, record: &BranchRecord) {
+        self.main.notify_shared(record);
     }
 
     fn flush_history(&mut self) {

@@ -180,12 +180,14 @@ fn steady_state_predict_update_is_allocation_free() {
         );
     }
 
-    // The fused-column drives with the shared TAGE front end: a
-    // column of same-geometry TAGE hosts (one shared group: front-end
-    // plan chunks, planned commits, attributed tallies) plus solo hosts.
-    // Every allocation these drives make is per pass — block buffers,
-    // plan scratch, the grouping, result assembly — so a pass over three
-    // times the records must allocate exactly as often as a short one.
+    // The fused-column drives with both kinds of shared group: a TAGE
+    // group (shared TAGE step chunks) and a GEHL group (shared global
+    // front-end plan chunks, FTL and wormhole members included), each
+    // committed plain and attributed, plus solo hosts. Every allocation
+    // these drives make is per pass — block buffers, plan scratch, the
+    // grouping, copying the leaders' shared parts back, result assembly
+    // — so a pass over three times the records must allocate exactly as
+    // often as a short one.
     {
         use imli_repro::sim::{
             simulate_scenario_multi, simulate_stream_attributed_multi, simulate_stream_multi,
@@ -195,7 +197,10 @@ fn steady_state_predict_update_is_allocation_free() {
             "tage-gsc+imli",
             "tage-gsc+wh",
             "tage-sc-l+imli",
+            "gehl",
             "gehl+imli",
+            "gehl+wh",
+            "ftl+imli",
             "perceptron+imli",
         ];
         let specs: Vec<_> = names
@@ -242,7 +247,8 @@ fn steady_state_predict_update_is_allocation_free() {
 
         // The scenario drive, over materialized events (event
         // *generation* may allocate; consuming them must not) with
-        // partial flushes, which reset the shared front end in place.
+        // partial flushes, which reset each group leader's shared part
+        // in place.
         let scenario = scenario_by_name("paper_switch").expect("builtin");
         let mut events = scenario.events();
         let mut all: Vec<ScenarioEvent> = Vec::new();

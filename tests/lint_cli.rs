@@ -52,7 +52,7 @@ fn lint_fails_with_file_line_diagnostics_on_seeded_violations() {
     let tage = dir.join("crates/tage/src");
     fs::create_dir_all(&tage).expect("mkdir");
     fs::write(
-        tage.join("tage.rs"),
+        tage.join("composed.rs"),
         "fn hot() {\n    let v = Vec::new();\n    drop(v);\n}\n",
     )
     .expect("write hot fixture");
@@ -75,7 +75,7 @@ fn lint_fails_with_file_line_diagnostics_on_seeded_violations() {
         "bp lint must fail on seeded violations:\n{stdout}"
     );
     assert!(
-        stdout.contains("crates/tage/src/tage.rs:2: hot-path-alloc"),
+        stdout.contains("crates/tage/src/composed.rs:2: hot-path-alloc"),
         "{stdout}"
     );
     assert!(

@@ -1,22 +1,25 @@
-//! Bit-equivalence of the shared TAGE front end.
+//! Bit-equivalence of the shared TAGE and GEHL front ends.
 //!
 //! The fused-column drives (`simulate_stream_multi`,
 //! `simulate_stream_attributed_multi`, `simulate_scenario_multi`) group
-//! TAGE hosts whose front ends compare equal, run one front end per
-//! group and let every member commit from the shared plans. The whole
-//! justification is the purity invariant: a TAGE host's index inputs
-//! evolve only with the trace, so a shared front end computes exactly
-//! what each member's own would. These tests pin that a fused column
-//! equals per-config solo runs — stats, MPKI, attribution, per-tenant
-//! tallies and post-run predictor state — for every registry config, at
-//! block and plan-chunk boundaries, across partial and full flushes,
-//! and in a column that mixes TAGE geometries.
+//! TAGE hosts with equal TAGE configuration and state, and GEHL hosts
+//! with equal global geometry and history. Each group runs one copy of
+//! the shared part — the whole TAGE, or the GEHL global index inputs —
+//! and every member commits from its output. The whole justification is
+//! purity: a TAGE host's TAGE trains on its own lookups only, and a
+//! host's index inputs evolve only with the trace, so a shared copy
+//! computes exactly what each member's own would. These tests pin that
+//! a fused column equals per-config solo runs — stats, MPKI,
+//! attribution, per-tenant tallies, the shared part itself and the
+//! whole post-run predictor state — for every registry config, at block
+//! and plan-chunk boundaries, across partial and full flushes, and in
+//! columns that mix TAGE geometries and configurations.
 
 use imli_repro::components::ConditionalPredictor;
 use imli_repro::sim::{
     lookup, registry, scenario_by_name, simulate, simulate_scenario, simulate_scenario_multi,
     simulate_stream_attributed, simulate_stream_attributed_multi, simulate_stream_multi,
-    solve_budget, FamilyConfig, PredictorSpec, ScenarioFlush,
+    solve_budget, FamilyConfig, PredictorSpec, RegistryConfig, ScenarioFlush,
 };
 use imli_repro::trace::Trace;
 use imli_repro::workloads::{cbp4_suite, generate, FlushMode};
@@ -26,7 +29,7 @@ const INSTRUCTIONS: u64 = 60_000;
 /// The simulator's fused block size and the shared front end's plan
 /// chunk, in records.
 const BLOCK: usize = 4096;
-const CHUNK: usize = 512;
+const CHUNK: usize = 256;
 
 fn column(specs: &[PredictorSpec]) -> Vec<Box<dyn ConditionalPredictor + Send>> {
     specs.iter().map(PredictorSpec::make).collect()
@@ -43,7 +46,9 @@ fn prefix(trace: &Trace, n: usize) -> Trace {
 
 /// Asserts a fused plain and attributed column over `trace` equals solo
 /// runs of every spec, and that every fused predictor ends in its solo
-/// state (a solo continuation over `probe` agrees).
+/// state: its shared part (a TAGE host's whole TAGE, a GEHL host's
+/// front end) equals the solo run's, and a solo continuation over
+/// `probe` agrees.
 fn assert_fused_matches_solo(specs: &[PredictorSpec], trace: &Trace, warmup: u64, probe: &Trace) {
     let mut fused = column(specs);
     let plain = simulate_stream_multi(&mut fused, trace.stream());
@@ -70,6 +75,19 @@ fn assert_fused_matches_solo(specs: &[PredictorSpec], trace: &Trace, warmup: u64
         assert_eq!(
             attributed[i].result, expected,
             "{}: attributed stats",
+            spec.name
+        );
+
+        // The shared part, copied back from the group's leader when the
+        // pass ended, equals the one the solo run built itself.
+        assert!(
+            fused[i].shared_front_end() == solo.shared_front_end(),
+            "{}: shared TAGE / front end diverged after the fused pass",
+            spec.name
+        );
+        assert!(
+            fused_attributed[i].shared_front_end() == solo.shared_front_end(),
+            "{}: shared TAGE / front end diverged after the attributed pass",
             spec.name
         );
 
@@ -182,13 +200,85 @@ fn mixed_geometry_column_forms_separate_groups() {
 }
 
 #[test]
+fn gehl_family_column_matches_solo_runs_at_block_and_chunk_boundaries() {
+    // Every GEHL/FTL host of the registry that shares the default
+    // global geometry: one GEHL group mixing IMLI terms, wormhole
+    // wrapping and FTL's local tables and loop predictor.
+    let suite = cbp4_suite();
+    let long = generate(&suite[6], 2 * INSTRUCTIONS);
+    let probe = generate(&suite[7], INSTRUCTIONS / 4);
+    let specs: Vec<PredictorSpec> = [
+        "gehl",
+        "gehl+sic",
+        "gehl+oh",
+        "gehl+imli",
+        "gehl+wh",
+        "ftl",
+        "ftl+imli",
+    ]
+    .iter()
+    .map(|n| lookup(n).expect("registered"))
+    .collect();
+    for n in [BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK + 1] {
+        assert!(long.len() > n, "trace long enough for {n} records");
+        let trace = prefix(&long, n);
+        let warmup = trace.instruction_count() / 3;
+        assert_fused_matches_solo(&specs, &trace, warmup, &probe);
+    }
+}
+
+#[test]
+fn tage_hosts_with_one_index_geometry_but_other_widths_match_solo_runs() {
+    // Equal index geometry, different counter or usefulness widths:
+    // the TAGE states diverge from the first update, so each width
+    // forms its own group — {gsc, gsc+imli}, {gsc/ctr4, sc-l/ctr4},
+    // {gsc+imli/u3, sc-l+imli/u3} — and a grouping keyed on the index
+    // geometry alone would commit members from the wrong TAGE.
+    let with_tage = |name: &str, label: &str, edit: &dyn Fn(&mut imli_repro::tage::TageConfig)| {
+        let mut spec = lookup(name).expect("registered");
+        let FamilyConfig::TageSc(mut config) = spec.config.base.clone() else {
+            unreachable!("TAGE host")
+        };
+        edit(&mut config.tage);
+        spec.config = RegistryConfig::plain(FamilyConfig::TageSc(config));
+        spec.name = format!("{name}/{label}");
+        spec
+    };
+    let counter = |t: &mut imli_repro::tage::TageConfig| t.counter_bits = 4;
+    let useful = |t: &mut imli_repro::tage::TageConfig| t.useful_bits = 3;
+    let specs = vec![
+        lookup("tage-gsc").expect("registered"),
+        with_tage("tage-gsc", "ctr4", &counter),
+        with_tage("tage-gsc+imli", "u3", &useful),
+        lookup("tage-gsc+imli").expect("registered"),
+        with_tage("tage-sc-l", "ctr4", &counter),
+        with_tage("tage-sc-l+imli", "u3", &useful),
+    ];
+    let suite = cbp4_suite();
+    let trace = generate(&suite[3], INSTRUCTIONS);
+    let probe = generate(&suite[2], INSTRUCTIONS / 4);
+    // The widths must matter on this trace, or a merged group would
+    // pass unnoticed.
+    let solo = |spec: &PredictorSpec| simulate(spec.make().as_mut(), &trace).stats;
+    assert_ne!(solo(&specs[0]), solo(&specs[1]), "counter width is visible");
+    assert_ne!(solo(&specs[3]), solo(&specs[2]), "useful width is visible");
+    assert_fused_matches_solo(&specs, &trace, INSTRUCTIONS / 5, &probe);
+}
+
+#[test]
 fn scenario_partial_and_full_flushes_match_solo_runs() {
+    // Both group kinds — a TAGE group of four and a GEHL group of four —
+    // plus a solo GEHL-family host with no partner and a baseline.
     let specs: Vec<PredictorSpec> = [
         "tage-sc-l",
         "tage-gsc+imli",
         "tage-gsc+wh",
         "tage-sc-l+imli",
+        "gehl",
         "gehl+imli",
+        "gehl+wh",
+        "ftl+imli",
+        "perceptron+imli",
         "bimodal",
     ]
     .iter()
