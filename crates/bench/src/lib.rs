@@ -18,7 +18,7 @@
 
 #![warn(missing_docs)]
 
-use bp_sim::{lookup, registry_names, run_suite, Engine, GridStrategy, PredictorSpec, SuiteResult};
+use bp_sim::{lookup, registry_names, run_suite, Engine, PredictorSpec, SuiteResult};
 use bp_workloads::{cbp3_suite, cbp4_suite, BenchmarkSpec};
 use std::fmt;
 
@@ -97,7 +97,7 @@ pub fn run_config(
 /// serializes the sweep. Results come back in `configs` order.
 ///
 /// The experiment binaries sweep many configurations over the same
-/// suite, the exact shape the engine's fused column mode is for: each
+/// suite, the exact shape the engine's fused column shards are for: each
 /// benchmark stream is generated **once** and every configuration
 /// consumes it in the same pass, instead of regenerating the stream
 /// once per configuration. Results are bit-identical to per-cell runs
@@ -113,9 +113,7 @@ pub fn run_configs(
         .iter()
         .map(|c| lookup(c).ok_or_else(|| UnknownPredictorError::new(c)))
         .collect::<Result<_, _>>()?;
-    let grid = Engine::new()
-        .with_strategy(GridStrategy::FusedColumns)
-        .run_grid(&predictors, specs, instruction_budget());
+    let grid = Engine::new().run_grid(&predictors, specs, instruction_budget());
     Ok(configs
         .iter()
         .map(|c| grid.suite_result(c).expect("row for every config"))

@@ -1,71 +1,67 @@
-//! The parallel evaluation-grid engine.
+//! The parallel evaluation-grid engine and its column scheduler.
 //!
 //! The paper's evaluation is a grid: predictor configurations ×
-//! benchmarks. [`Engine::run_grid`] fans the (predictor, benchmark)
-//! cells out across worker threads with *dynamic self-scheduling*: all
-//! workers pull cells from one shared lock-free queue (an atomic
-//! cursor), so an idle worker immediately steals the next unclaimed
-//! cell instead of idling behind a static partition — cells vary by
-//! an order of magnitude in cost (bimodal vs. TAGE-SC-L+IMLI), which
-//! makes static chunking badly unbalanced.
+//! benchmarks. Every grid-shaped run — [`Engine::run_grid`], the
+//! attributed report ([`crate::run_report`]) and the scenario
+//! ([`crate::run_scenario`], one column) — goes through one column
+//! scheduler, [`run_cells`]:
 //!
-//! Each cell generates its benchmark *lazily*
-//! ([`bp_workloads::BenchmarkSpec::stream`]) and simulates it with
-//! [`simulate_stream`], so per-worker memory stays O(1) in trace
-//! length: the whole grid needs `jobs × one-phase buffers`, never
-//! `jobs × whole traces`.
+//! 1. with a result cache attached, probe every cell and splice the
+//!    verified hits; without one, every cell is a miss;
+//! 2. plan the misses into *shards* ([`plan_shards`]): a shard is some
+//!    predictor rows of one column, driven fused over **one** pass of
+//!    the column's stream ([`simulate_stream_multi`] and its attributed
+//!    and scenario twins), so the stream is generated once per shard
+//!    and same-configuration hosts share their TAGE or GEHL front end.
+//!    A column is split into more than one shard only when there are
+//!    fewer columns than workers, and never inside a share group;
+//! 3. run the shards across worker threads with *dynamic
+//!    self-scheduling*: all workers pull the next unclaimed shard from
+//!    one atomic cursor, so an idle worker never waits behind a static
+//!    partition;
+//! 4. splice the results back by cell index and store the computed
+//!    cells when a cache is attached.
 //!
-//! When several predictors sweep the same benchmarks, regenerating the
-//! stream once **per cell** decodes every benchmark `predictors` times.
-//! The engine therefore also has a *fused column* mode
-//! ([`GridStrategy`]): one work unit per benchmark, generating the
-//! stream once and broadcasting every record to all predictors
-//! ([`simulate_stream_multi`]), with bit-identical results.
-//!
-//! Results are written back by cell index, so the returned grid is in
-//! deterministic (predictor-major) order regardless of worker count or
-//! scheduling: `run_grid` with 1 job and with N jobs return identical
-//! [`GridResult`]s.
+//! Each shard generates its stream lazily
+//! ([`bp_workloads::BenchmarkSpec::stream`]), so per-worker memory stays
+//! O(1) in trace length. Results are written back by cell index, so a
+//! grid comes back in deterministic (predictor-major) order regardless
+//! of worker count or scheduling: `run_grid` with 1 job and with N jobs
+//! return identical [`GridResult`]s.
 
 use crate::cache::{grid_cell_key, CacheKey, SimCache};
 use crate::registry::PredictorSpec;
-use crate::run::{simulate_stream, simulate_stream_multi, SimResult};
+use crate::run::{simulate_stream_multi, SimResult};
+use crate::shared::share_units;
 use crate::suite::SuiteResult;
 use bp_components::ConditionalPredictor;
 use bp_workloads::BenchmarkSpec;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// How [`Engine::run_grid`] schedules the (predictor × benchmark) grid.
+/// How [`Engine::run_grid`] plans the (predictor × benchmark) grid.
 ///
 /// Both strategies produce **bit-identical** [`GridResult`]s — every
 /// cell still runs one fresh cold predictor over the full benchmark
-/// stream (the CBP protocol). They differ only in how often each
-/// benchmark stream is generated/decoded:
+/// stream (the CBP protocol). They differ only in how many predictors
+/// share one pass of a stream:
 ///
-/// * [`PerCell`](GridStrategy::PerCell) — one work unit per cell; each
-///   cell regenerates its benchmark stream. Maximum parallelism
-///   (`predictors × benchmarks` units), maximum redundant decode work
-///   (each benchmark is generated once *per predictor*).
-/// * [`FusedColumns`](GridStrategy::FusedColumns) — one work unit per
-///   *benchmark column*; the column generates its stream **once** and
-///   broadcasts every record to all predictors via
-///   [`crate::simulate_stream_multi`]. `N`× less generation/decode work, but
-///   only `benchmarks` parallel units.
-/// * [`Auto`](GridStrategy::Auto) (default) — fuse columns when the
-///   shape profits: at least two predictors share each decode and there
-///   are enough columns to keep every worker busy.
+/// * [`FusedColumns`](GridStrategy::FusedColumns) (default) — the
+///   column scheduler's share-group shards: each benchmark is
+///   generated once per shard, and a shard's same-configuration hosts
+///   share one TAGE or GEHL front end;
+/// * [`PerCell`](GridStrategy::PerCell) — one shard per cell: every
+///   cell regenerates its benchmark and drives its predictor alone. The
+///   solo reference the fused drive is compared against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GridStrategy {
-    /// Pick per shape: fused when `predictors >= 2` and the column
-    /// count keeps all workers busy, per-cell otherwise.
-    #[default]
-    Auto,
-    /// Always schedule individual cells (the pre-fusion behaviour).
+    /// One shard per cell (the solo reference).
     PerCell,
-    /// Always schedule benchmark columns with one shared decode.
+    /// Share-group shards of whole benchmark columns.
+    #[default]
     FusedColumns,
 }
 
@@ -102,11 +98,7 @@ impl Default for Engine {
 impl Engine {
     /// An engine with one worker per available core.
     pub fn new() -> Self {
-        Engine {
-            jobs: std::thread::available_parallelism().map_or(4, NonZeroUsize::get),
-            strategy: GridStrategy::default(),
-            cache: None,
-        }
+        Engine::with_jobs(std::thread::available_parallelism().map_or(4, NonZeroUsize::get))
     }
 
     /// An engine with exactly `jobs` workers (`jobs == 1` runs on the
@@ -119,8 +111,8 @@ impl Engine {
         }
     }
 
-    /// Sets the grid scheduling strategy (default:
-    /// [`GridStrategy::Auto`]).
+    /// Sets the grid planning strategy (default:
+    /// [`GridStrategy::FusedColumns`]).
     #[must_use]
     pub fn with_strategy(mut self, strategy: GridStrategy) -> Self {
         self.strategy = strategy;
@@ -148,19 +140,9 @@ impl Engine {
         self.jobs
     }
 
-    /// The configured scheduling strategy.
+    /// The configured planning strategy.
     pub fn strategy(&self) -> GridStrategy {
         self.strategy
-    }
-
-    /// Whether this grid shape runs fused under the configured
-    /// strategy.
-    fn fuse_columns(&self, predictors: usize, benchmarks: usize) -> bool {
-        match self.strategy {
-            GridStrategy::PerCell => false,
-            GridStrategy::FusedColumns => true,
-            GridStrategy::Auto => auto_fuses(predictors, benchmarks, self.jobs),
-        }
     }
 
     /// Runs the full (predictor × benchmark) grid at `instructions`
@@ -185,29 +167,38 @@ impl Engine {
         instructions: u64,
         progress: &(dyn Fn(CellUpdate<'_>) + Sync),
     ) -> GridResult {
-        if let Some(cache) = self.cache.as_ref().filter(|c| c.enabled()) {
-            return self.run_grid_cached(cache, predictors, benchmarks, instructions, progress);
-        }
-        if self.fuse_columns(predictors.len(), benchmarks.len()) {
-            return self.run_grid_fused(predictors, benchmarks, instructions, progress);
-        }
-        let total = predictors.len() * benchmarks.len();
-        let timed = run_indexed(
-            self.jobs,
-            total,
-            0,
-            total,
-            |idx| {
-                let spec = &predictors[idx / benchmarks.len()];
-                let bench = &benchmarks[idx % benchmarks.len()];
-                let mut predictor = spec.make();
-                let result = simulate_stream(predictor.as_mut(), bench.stream(instructions));
-                let label = CellLabel {
-                    predictor: &spec.name,
-                    benchmark: &bench.name,
-                    mpki: result.mpki(),
-                };
-                (result, label)
+        let columns: Vec<&str> = benchmarks.iter().map(|b| b.name.as_str()).collect();
+        let cache = self
+            .cache
+            .as_ref()
+            .filter(|c| c.enabled())
+            .map(|cache| CellCache {
+                keys: predictors
+                    .iter()
+                    .flat_map(|spec| {
+                        benchmarks
+                            .iter()
+                            .map(|bench| grid_cell_key(spec, &bench.name, instructions))
+                    })
+                    .collect(),
+                lookup: Box::new(|key: &CacheKey, b: usize| {
+                    cache.lookup_sim(key, &benchmarks[b].name)
+                }),
+                store: Box::new(|key: &CacheKey, result: &SimResult| cache.store_sim(key, result)),
+            });
+        let plan = Plan {
+            jobs: self.jobs,
+            strategy: self.strategy,
+            predictors,
+            columns: &columns,
+        };
+        let timed = run_cells(
+            &plan,
+            cache,
+            |shard| {
+                let mut column: Vec<Box<dyn ConditionalPredictor + Send>> =
+                    shard.rows.iter().map(|&p| predictors[p].make()).collect();
+                simulate_stream_multi(&mut column, benchmarks[shard.column].stream(instructions))
             },
             progress,
         );
@@ -219,413 +210,307 @@ impl Engine {
             cell_seconds,
         }
     }
+}
 
-    /// The cache-aware grid path: probe every cell key up front, splice
-    /// verified hits into place, dispatch **only the miss-set** to the
-    /// workers, and write the computed misses back. Duplicate keys
-    /// inside one grid (a sweep whose budget solver landed on the same
-    /// config twice) are computed once and replicated.
-    ///
-    /// The result is bit-identical to an uncached run by construction:
-    /// hit cells were produced by the same deterministic pipeline that
-    /// would recompute them, and miss cells *are* recomputed (fused
-    /// dispatch fuses only co-resident misses of a column, which
-    /// [`simulate_stream_multi`] guarantees is equivalent to any other
-    /// grouping).
-    fn run_grid_cached(
-        &self,
-        cache: &SimCache,
-        predictors: &[PredictorSpec],
-        benchmarks: &[BenchmarkSpec],
-        instructions: u64,
-        progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-    ) -> GridResult {
-        let n_b = benchmarks.len();
-        let total = predictors.len() * n_b;
-        let keys: Vec<CacheKey> = (0..total)
-            .map(|idx| {
-                grid_cell_key(
-                    &predictors[idx / n_b],
-                    &benchmarks[idx % n_b].name,
-                    instructions,
-                )
-            })
-            .collect();
-        let mut cells: Vec<Option<SimResult>> = vec![None; total];
-        let mut cell_seconds = vec![0.0; total];
-        for idx in 0..total {
-            cells[idx] = cache.lookup_sim(&keys[idx], &benchmarks[idx % n_b].name);
-        }
+/// A cell payload of the column scheduler.
+pub(crate) trait CellResult: Clone + Send {
+    /// The cell's MPKI, reported to progress callbacks.
+    fn mpki(&self) -> f64;
+}
 
-        // In-run dedup among the misses: two cells with byte-equal
-        // (config text, benchmark) compute byte-equal results, so only
-        // one representative per key group is dispatched.
-        let mut dup_of: Vec<Option<usize>> = vec![None; total];
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let mut representative: BTreeMap<(&str, usize), usize> = BTreeMap::new();
-            for (idx, cell) in cells.iter().enumerate() {
-                if cell.is_some() {
-                    continue;
-                }
-                match representative.entry((keys[idx].config.as_str(), idx % n_b)) {
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(idx);
-                        misses.push(idx);
-                    }
-                    std::collections::btree_map::Entry::Occupied(slot) => {
-                        dup_of[idx] = Some(*slot.get());
-                    }
-                }
-            }
-        }
-
-        // Hits report progress first, in deterministic cell order.
-        let mut completed = 0usize;
-        for (idx, cell) in cells.iter().enumerate() {
-            if let Some(result) = cell {
-                completed += 1;
-                progress(CellUpdate {
-                    predictor: &predictors[idx / n_b].name,
-                    benchmark: &benchmarks[idx % n_b].name,
-                    mpki: result.mpki(),
-                    completed,
-                    total,
-                });
-            }
-        }
-
-        // Dispatch the representative misses only.
-        if self.fuse_columns(predictors.len(), benchmarks.len()) {
-            // Fuse only the co-resident misses of each column.
-            let mut column_preds: Vec<Vec<usize>> = vec![Vec::new(); n_b];
-            for &idx in &misses {
-                column_preds[idx % n_b].push(idx / n_b);
-            }
-            let miss_columns: Vec<usize> =
-                (0..n_b).filter(|&b| !column_preds[b].is_empty()).collect();
-            let columns = run_columns(
-                self.jobs,
-                miss_columns.len(),
-                completed,
-                total,
-                |ci| {
-                    let b = miss_columns[ci];
-                    let bench = &benchmarks[b];
-                    let mut column: Vec<Box<dyn ConditionalPredictor + Send>> = column_preds[b]
-                        .iter()
-                        .map(|&p| predictors[p].make())
-                        .collect();
-                    let results = simulate_stream_multi(&mut column, bench.stream(instructions));
-                    let labels = column_preds[b]
-                        .iter()
-                        .zip(&results)
-                        .map(|(&p, result)| CellLabel {
-                            predictor: &predictors[p].name,
-                            benchmark: &bench.name,
-                            mpki: result.mpki(),
-                        })
-                        .collect();
-                    (results, labels)
-                },
-                progress,
-            );
-            for (ci, (results, seconds)) in columns.into_iter().enumerate() {
-                let b = miss_columns[ci];
-                let per_cell = seconds / column_preds[b].len().max(1) as f64;
-                for (&p, result) in column_preds[b].iter().zip(results) {
-                    cells[p * n_b + b] = Some(result);
-                    cell_seconds[p * n_b + b] = per_cell;
-                }
-            }
-        } else {
-            let timed = run_indexed(
-                self.jobs,
-                misses.len(),
-                completed,
-                total,
-                |j| {
-                    let idx = misses[j];
-                    let spec = &predictors[idx / n_b];
-                    let bench = &benchmarks[idx % n_b];
-                    let mut predictor = spec.make();
-                    let result = simulate_stream(predictor.as_mut(), bench.stream(instructions));
-                    let label = CellLabel {
-                        predictor: &spec.name,
-                        benchmark: &bench.name,
-                        mpki: result.mpki(),
-                    };
-                    (result, label)
-                },
-                progress,
-            );
-            for (j, (result, seconds)) in timed.into_iter().enumerate() {
-                let idx = misses[j];
-                cell_seconds[idx] = seconds;
-                cells[idx] = Some(result);
-            }
-        }
-
-        // Write the computed representatives back (policy permitting).
-        for &idx in &misses {
-            if let Some(result) = &cells[idx] {
-                cache.store_sim(&keys[idx], result);
-            }
-        }
-
-        // Replicate deduplicated cells and close out progress.
-        completed += misses.len();
-        for idx in 0..total {
-            if let Some(source) = dup_of[idx] {
-                cells[idx] = cells[source].clone();
-                completed += 1;
-                if let Some(result) = &cells[idx] {
-                    progress(CellUpdate {
-                        predictor: &predictors[idx / n_b].name,
-                        benchmark: &benchmarks[idx % n_b].name,
-                        mpki: result.mpki(),
-                        completed,
-                        total,
-                    });
-                }
-            }
-        }
-
-        GridResult {
-            predictors: predictors.iter().map(|s| s.name.to_owned()).collect(),
-            benchmarks: benchmarks.iter().map(|b| b.name.clone()).collect(),
-            cells: cells
-                .into_iter()
-                .map(|c| c.expect("every grid cell filled"))
-                .collect(),
-            cell_seconds,
-        }
-    }
-
-    /// The fused column path: one work unit per benchmark, each unit
-    /// generating its stream once and driving all predictors over it
-    /// via [`simulate_stream_multi`]. Cells (and progress callbacks,
-    /// one per cell as in the per-cell path) come back in the same
-    /// deterministic predictor-major order; the column's wall time is
-    /// apportioned evenly across its cells, so `cell_seconds` keeps the
-    /// same shape and totals as a per-cell run would report for the
-    /// shared work.
-    fn run_grid_fused(
-        &self,
-        predictors: &[PredictorSpec],
-        benchmarks: &[BenchmarkSpec],
-        instructions: u64,
-        progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-    ) -> GridResult {
-        let columns = run_columns(
-            self.jobs,
-            benchmarks.len(),
-            0,
-            predictors.len() * benchmarks.len(),
-            |b| {
-                let bench = &benchmarks[b];
-                let mut column: Vec<Box<dyn ConditionalPredictor + Send>> =
-                    predictors.iter().map(PredictorSpec::make).collect();
-                let results = simulate_stream_multi(&mut column, bench.stream(instructions));
-                let labels = predictors
-                    .iter()
-                    .zip(&results)
-                    .map(|(spec, result)| CellLabel {
-                        predictor: &spec.name,
-                        benchmark: &bench.name,
-                        mpki: result.mpki(),
-                    })
-                    .collect();
-                (results, labels)
-            },
-            progress,
-        );
-        let (cells, cell_seconds) = transpose_columns(columns, predictors.len(), benchmarks.len());
-        GridResult {
-            predictors: predictors.iter().map(|s| s.name.to_owned()).collect(),
-            benchmarks: benchmarks.iter().map(|b| b.name.clone()).collect(),
-            cells,
-            cell_seconds,
-        }
+impl CellResult for SimResult {
+    fn mpki(&self) -> f64 {
+        SimResult::mpki(self)
     }
 }
 
-/// The [`GridStrategy::Auto`] fusion predicate, shared by the engine
-/// and the attributed report path so the two can never drift: fusing
-/// trades parallel grain (cells → columns) for an N-fold cut in stream
-/// generation, profitable whenever at least two predictors share each
-/// decode and the columns alone can keep every worker busy.
-pub(crate) fn auto_fuses(predictors: usize, benchmarks: usize, jobs: usize) -> bool {
-    predictors >= 2 && benchmarks >= jobs.max(1)
+/// The cells [`run_cells`] computes: `predictors` rows × `columns`
+/// (benchmark or scenario names), planned for `jobs` workers.
+pub(crate) struct Plan<'a> {
+    pub(crate) jobs: usize,
+    pub(crate) strategy: GridStrategy,
+    pub(crate) predictors: &'a [PredictorSpec],
+    pub(crate) columns: &'a [&'a str],
 }
 
-/// Runs `total_columns` benchmark-column work units across `jobs`
-/// workers with the same dynamic self-scheduling as [`run_indexed`],
-/// returning `(column results, column wall seconds)` in column-index
-/// order. The column closure returns one result plus one display label
-/// per cell it ran; progress fires once per *cell* (not per column),
-/// with a monotonic `completed` counter starting at `progress_base`
-/// against `progress_total` — the cache path probes hits before
-/// scheduling, so the dispatched miss-set may be a suffix of a larger
-/// grid. Shared by the plain fused grid and the fused attributed report
-/// path.
-pub(crate) fn run_columns<'a, T, F>(
-    jobs: usize,
-    total_columns: usize,
-    progress_base: usize,
-    progress_total: usize,
-    column: F,
-    progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-) -> Vec<(Vec<T>, f64)>
-where
-    T: Send,
-    F: Fn(usize) -> (Vec<T>, Vec<CellLabel<'a>>) + Sync,
-{
-    let next = AtomicUsize::new(0);
-    type Collected<T> = (Vec<(usize, Vec<T>, f64)>, usize);
-    // Collected columns plus the monotonic completed-cell counter
-    // behind the progress callbacks, under one lock.
-    let collected: Mutex<Collected<T>> =
-        Mutex::new((Vec::with_capacity(total_columns), progress_base));
-    let worker = || loop {
-        let b = next.fetch_add(1, Ordering::Relaxed);
-        if b >= total_columns {
-            break;
-        }
-        let started = std::time::Instant::now();
-        let (results, labels) = column(b);
-        let seconds = started.elapsed().as_secs_f64();
-        debug_assert_eq!(results.len(), labels.len());
-        let mut guard = collected.lock().expect("results lock");
-        let (columns, completed) = &mut *guard;
-        for label in labels {
-            *completed += 1;
-            progress(CellUpdate {
-                predictor: label.predictor,
-                benchmark: label.benchmark,
-                mpki: label.mpki,
-                completed: *completed,
-                total: progress_total,
-            });
-        }
-        columns.push((b, results, seconds));
-    };
-    if jobs <= 1 || total_columns <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(total_columns) {
-                scope.spawn(worker);
-            }
-        });
-    }
-    let (mut columns, completed) = collected.into_inner().expect("results lock");
-    debug_assert!(completed <= progress_total);
-    columns.sort_unstable_by_key(|(b, _, _)| *b);
-    columns
-        .into_iter()
-        .map(|(_, results, seconds)| (results, seconds))
-        .collect()
+/// An attached result cache as [`run_cells`] sees one payload kind:
+/// each cell's key (predictor-major), the verified probe of a key in a
+/// column, and the write-back.
+pub(crate) struct CellCache<'c, T> {
+    pub(crate) keys: Vec<CacheKey>,
+    pub(crate) lookup: CacheLookup<'c, T>,
+    pub(crate) store: CacheStoreFn<'c, T>,
 }
 
-/// Transposes benchmark-major column results into the predictor-major
-/// cell order grids use, apportioning each column's wall time evenly
-/// across its cells.
-pub(crate) fn transpose_columns<T>(
-    columns: Vec<(Vec<T>, f64)>,
-    n_pred: usize,
-    n_bench: usize,
-) -> (Vec<T>, Vec<f64>) {
-    let total_cells = n_pred * n_bench;
-    let mut cells: Vec<Option<T>> = (0..total_cells).map(|_| None).collect();
-    let mut cell_seconds = vec![0.0; total_cells];
-    for (b, (results, seconds)) in columns.into_iter().enumerate() {
-        let per_cell = seconds / n_pred.max(1) as f64;
-        for (p, result) in results.into_iter().enumerate() {
-            cells[p * n_bench + b] = Some(result);
-            cell_seconds[p * n_bench + b] = per_cell;
-        }
-    }
-    (
-        cells
-            .into_iter()
-            .map(|c| c.expect("every grid cell filled"))
-            .collect(),
-        cell_seconds,
-    )
+/// The verified probe of a cell key in a column.
+type CacheLookup<'c, T> = Box<dyn Fn(&CacheKey, usize) -> Option<T> + 'c>;
+
+/// The write-back of a computed cell under its key.
+type CacheStoreFn<'c, T> = Box<dyn Fn(&CacheKey, &T) + 'c>;
+
+/// One work unit of the column scheduler: some predictor rows of one
+/// column, driven fused over one pass of the column's stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Shard {
+    /// The column index.
+    pub(crate) column: usize,
+    /// Predictor rows, in column order.
+    pub(crate) rows: Vec<usize>,
 }
 
-/// What a cell closure reports about the cell it just ran; the
-/// scheduler combines it with its own completion bookkeeping to build
-/// the [`CellUpdate`] handed to progress callbacks.
-pub(crate) struct CellLabel<'a> {
-    pub(crate) predictor: &'a str,
-    pub(crate) benchmark: &'a str,
-    pub(crate) mpki: f64,
-}
-
-/// Runs `total` independent cells across `jobs` workers with dynamic
-/// self-scheduling, returning `(result, wall seconds)` pairs in
-/// cell-index order. Generic over the cell payload `T` so the same
-/// scheduler drives plain [`SimResult`] grids, attributed report runs,
-/// and [`crate::run_suite`] rows. The worker closure returns the cell
-/// result plus its display label; completion counting happens here,
-/// under the collection lock, so progress callbacks observe a strictly
-/// increasing `completed` starting at `progress_base` against
-/// `progress_total` (the cache path reports probe hits before
-/// dispatching the remaining miss-set here). Per-cell wall time is
-/// measured around the closure (generation + simulation), outside the
-/// lock.
-pub(crate) fn run_indexed<'a, T, F>(
-    jobs: usize,
-    total: usize,
-    progress_base: usize,
-    progress_total: usize,
-    cell: F,
+/// The column scheduler behind every grid-shaped run: probes `cache`
+/// (when attached) and splices its verified hits, plans the misses into
+/// shards ([`plan_shards`]), runs each shard through `shard` across the
+/// workers, and splices and stores the computed cells. Returns every
+/// cell with its wall seconds, predictor-major; a shard's wall time is
+/// split evenly over its cells, and spliced cells cost zero.
+///
+/// Progress fires once per cell with a monotonic `completed`: hits
+/// first, in cell order, then computed cells as their shards finish.
+/// Under a cache, misses with byte-equal keys (a sweep whose solver
+/// landed on one config twice) are computed once and replicated last.
+/// The result is bit-identical whatever the plan, because fusing any
+/// subset of predictors over one stream equals driving each alone.
+pub(crate) fn run_cells<T, F>(
+    plan: &Plan<'_>,
+    cache: Option<CellCache<'_, T>>,
+    shard: F,
     progress: &(dyn Fn(CellUpdate<'_>) + Sync),
 ) -> Vec<(T, f64)>
 where
+    T: CellResult,
+    F: Fn(&Shard) -> Vec<T> + Sync,
+{
+    let n_c = plan.columns.len();
+    let total = plan.predictors.len() * n_c;
+    let report = |idx: usize, mpki: f64, completed: usize| {
+        progress(CellUpdate {
+            predictor: &plan.predictors[idx / n_c].name,
+            benchmark: plan.columns[idx % n_c],
+            mpki,
+            completed,
+            total,
+        });
+    };
+    let mut cells: Vec<Option<(T, f64)>> = match &cache {
+        Some(cache) => cache
+            .keys
+            .iter()
+            .enumerate()
+            .map(|(idx, key)| (cache.lookup)(key, idx % n_c).map(|hit| (hit, 0.0)))
+            .collect(),
+        None => (0..total).map(|_| None).collect(),
+    };
+    let mut completed = 0usize;
+    for (idx, cell) in cells.iter().enumerate() {
+        if let Some((hit, _)) = cell {
+            completed += 1;
+            report(idx, hit.mpki(), completed);
+        }
+    }
+
+    // The rows each column computes, and the cells replicated from an
+    // equal-key representative.
+    let mut misses: Vec<Vec<usize>> = vec![Vec::new(); n_c];
+    let mut dup_of: Vec<(usize, usize)> = Vec::new();
+    let mut representative: BTreeMap<(&str, usize), usize> = BTreeMap::new();
+    for idx in (0..total).filter(|&idx| cells[idx].is_none()) {
+        if let Some(cache) = &cache {
+            match representative.entry((cache.keys[idx].config.as_str(), idx % n_c)) {
+                Entry::Occupied(first) => {
+                    dup_of.push((idx, *first.get()));
+                    continue;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(idx);
+                }
+            }
+        }
+        misses[idx % n_c].push(idx / n_c);
+    }
+
+    let shards = plan_shards(plan, &misses);
+    let ran = run_units(
+        plan.jobs,
+        shards.len(),
+        completed,
+        |s| {
+            let Shard { column, rows } = &shards[s];
+            let results = shard(&shards[s]);
+            debug_assert_eq!(results.len(), rows.len());
+            let labels = rows
+                .iter()
+                .zip(&results)
+                .map(|(&row, result)| (row * n_c + column, result.mpki()))
+                .collect();
+            (results, labels)
+        },
+        &report,
+    );
+    for (Shard { column, rows }, (results, seconds)) in shards.iter().zip(ran) {
+        let per_cell = seconds / rows.len() as f64;
+        for (&row, result) in rows.iter().zip(results) {
+            let idx = row * n_c + column;
+            if let Some(cache) = &cache {
+                (cache.store)(&cache.keys[idx], &result);
+            }
+            completed += 1;
+            cells[idx] = Some((result, per_cell));
+        }
+    }
+
+    for (idx, first) in dup_of {
+        let (result, _) = cells[first].clone().expect("representatives are computed");
+        completed += 1;
+        report(idx, result.mpki(), completed);
+        cells[idx] = Some((result, 0.0));
+    }
+    debug_assert_eq!(completed, total);
+    cells
+        .into_iter()
+        .map(|cell| cell.expect("every cell filled"))
+        .collect()
+}
+
+/// Plans the shards of the rows `misses[c]` each column `c` computes.
+///
+/// Under [`GridStrategy::PerCell`] every cell is a shard of its own.
+/// Otherwise each column with work gets `k = ceil(jobs / columns)`
+/// shards, at most one per share unit ([`share_units`]: a TAGE or GEHL
+/// group, or a solo host) of its rows. With `k == 1` — as many columns
+/// as workers, the usual shape — a column is one shard and no predictor
+/// is built for planning. With `k > 1` the units are packed
+/// longest-first into the lightest shard, weighing each unit by its
+/// summed [`PredictorSpec::storage_bits`]: a static weight, so the plan
+/// depends on the inputs only. A unit is never split, and every shard
+/// lists its rows in column order.
+pub(crate) fn plan_shards(plan: &Plan<'_>, misses: &[Vec<usize>]) -> Vec<Shard> {
+    let busy = misses.iter().filter(|rows| !rows.is_empty()).count();
+    let k = plan.jobs.div_ceil(busy.max(1));
+    let columns = misses
+        .iter()
+        .enumerate()
+        .filter(|(_, rows)| !rows.is_empty());
+    if plan.strategy == GridStrategy::PerCell {
+        return columns
+            .flat_map(|(column, rows)| {
+                rows.iter().map(move |&row| Shard {
+                    column,
+                    rows: vec![row],
+                })
+            })
+            .collect();
+    }
+    if k <= 1 {
+        return columns
+            .map(|(column, rows)| Shard {
+                column,
+                rows: rows.clone(),
+            })
+            .collect();
+    }
+    // The share units of every row that runs anywhere, found once; a
+    // column's units are their restriction to its rows (equality of
+    // shared front ends partitions any subset the same way).
+    let mut rows: Vec<usize> = misses.concat();
+    rows.sort_unstable();
+    rows.dedup();
+    let mut built: Vec<Box<dyn ConditionalPredictor + Send>> =
+        rows.iter().map(|&p| plan.predictors[p].make()).collect();
+    let units: Vec<Vec<usize>> = share_units(&mut built)
+        .into_iter()
+        .map(|unit| unit.into_iter().map(|i| rows[i]).collect())
+        .collect();
+    drop(built);
+    let mut shards = Vec::new();
+    for (column, rows) in columns {
+        let mut weighted: Vec<(u64, Vec<usize>)> = units
+            .iter()
+            .map(|unit| -> Vec<usize> {
+                unit.iter().copied().filter(|p| rows.contains(p)).collect()
+            })
+            .filter(|unit| !unit.is_empty())
+            .map(|unit| {
+                let weight = unit
+                    .iter()
+                    .map(|&p| plan.predictors[p].storage_bits())
+                    .sum();
+                (weight, unit)
+            })
+            .collect();
+        weighted.sort_by(|a, b| b.0.cmp(&a.0).then(a.1[0].cmp(&b.1[0])));
+        let mut bins: Vec<(u64, Vec<usize>)> = vec![(0, Vec::new()); k.min(weighted.len())];
+        for (weight, unit) in weighted {
+            let lightest = (0..bins.len())
+                .min_by_key(|&b| (bins[b].0, b))
+                .expect("at least one shard");
+            bins[lightest].0 += weight;
+            bins[lightest].1.extend(unit);
+        }
+        shards.extend(bins.into_iter().map(|(_, mut rows)| {
+            rows.sort_unstable();
+            Shard { column, rows }
+        }));
+    }
+    shards
+}
+
+/// Runs `total_units` work units across `jobs` workers with dynamic
+/// self-scheduling, returning `(unit results, unit wall seconds)` in
+/// unit-index order. A unit returns its results plus one
+/// `(cell index, MPKI)` label per result; `progress(cell, mpki,
+/// completed)` fires once per label, serialized under the collection
+/// lock, with a monotonic `completed` counter starting after
+/// `progress_base` (the scheduler reports spliced cache hits before
+/// dispatching). Wall time is measured around the unit, outside the
+/// lock.
+pub(crate) fn run_units<T, F>(
+    jobs: usize,
+    total_units: usize,
+    progress_base: usize,
+    unit: F,
+    progress: &(dyn Fn(usize, f64, usize) + Sync),
+) -> Vec<(Vec<T>, f64)>
+where
     T: Send,
-    F: Fn(usize) -> (T, CellLabel<'a>) + Sync,
+    F: Fn(usize) -> (Vec<T>, Vec<(usize, f64)>) + Sync,
 {
     let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, T, f64)>> = Mutex::new(Vec::with_capacity(total));
+    type Collected<T> = (Vec<(usize, Vec<T>, f64)>, usize);
+    // Collected units plus the monotonic completed-cell counter behind
+    // the progress callbacks, under one lock.
+    let collected: Mutex<Collected<T>> =
+        Mutex::new((Vec::with_capacity(total_units), progress_base));
     let worker = || loop {
-        let idx = next.fetch_add(1, Ordering::Relaxed);
-        if idx >= total {
+        let u = next.fetch_add(1, Ordering::Relaxed);
+        if u >= total_units {
             break;
         }
         let started = std::time::Instant::now();
-        let (result, label) = cell(idx);
+        let (results, labels) = unit(u);
         let seconds = started.elapsed().as_secs_f64();
-        // One lock serializes the progress callback, makes `completed`
-        // monotonic, and collects the result.
-        let mut results = collected.lock().expect("results lock");
-        progress(CellUpdate {
-            predictor: label.predictor,
-            benchmark: label.benchmark,
-            mpki: label.mpki,
-            completed: progress_base + results.len() + 1,
-            total: progress_total,
-        });
-        results.push((idx, result, seconds));
+        let mut guard = collected.lock().expect("results lock");
+        let (units, completed) = &mut *guard;
+        for (cell, mpki) in labels {
+            *completed += 1;
+            progress(cell, mpki, *completed);
+        }
+        units.push((u, results, seconds));
     };
-    if jobs <= 1 || total <= 1 {
+    if jobs <= 1 || total_units <= 1 {
         worker();
     } else {
         std::thread::scope(|scope| {
-            for _ in 0..jobs.min(total) {
+            for _ in 0..jobs.min(total_units) {
                 scope.spawn(worker);
             }
         });
     }
-    let mut results = collected.into_inner().expect("results lock");
-    debug_assert_eq!(results.len(), total);
-    // Completion order depends on scheduling; cell-index order does not.
-    results.sort_unstable_by_key(|(idx, _, _)| *idx);
-    results
+    let (mut units, _) = collected.into_inner().expect("results lock");
+    units.sort_unstable_by_key(|(u, _, _)| *u);
+    units
         .into_iter()
-        .map(|(_, result, seconds)| (result, seconds))
+        .map(|(_, results, seconds)| (results, seconds))
         .collect()
 }
 
@@ -893,18 +778,167 @@ mod tests {
     }
 
     #[test]
-    fn auto_strategy_fuses_profitable_shapes_only() {
-        let e = Engine::with_jobs(2);
-        assert_eq!(e.strategy(), GridStrategy::Auto);
-        assert!(e.fuse_columns(12, 8), "many predictors, enough columns");
-        assert!(!e.fuse_columns(1, 8), "nothing shares the decode");
-        assert!(
-            !Engine::with_jobs(16).fuse_columns(12, 8),
-            "too few columns"
+    fn fused_columns_is_the_default_and_per_cell_plans_one_shard_per_cell() {
+        let (predictors, benchmarks) = small_grid();
+        let engine = Engine::with_jobs(2);
+        assert_eq!(engine.strategy(), GridStrategy::FusedColumns);
+        let columns: Vec<&str> = benchmarks.iter().map(|b| b.name.as_str()).collect();
+        let plan = Plan {
+            jobs: 2,
+            strategy: GridStrategy::PerCell,
+            predictors: &predictors,
+            columns: &columns,
+        };
+        let misses = vec![vec![0, 1], vec![1], vec![]];
+        let shards = plan_shards(&plan, &misses);
+        assert_eq!(
+            shards,
+            [
+                Shard {
+                    column: 0,
+                    rows: vec![0]
+                },
+                Shard {
+                    column: 0,
+                    rows: vec![1]
+                },
+                Shard {
+                    column: 1,
+                    rows: vec![1]
+                },
+            ]
         );
-        assert!(Engine::with_jobs(16)
-            .with_strategy(GridStrategy::FusedColumns)
-            .fuse_columns(1, 1));
+    }
+
+    /// The shards `jobs` workers get for `predictors` over `columns`
+    /// columns with every cell missing, as predictor names per shard.
+    fn planned(
+        predictors: &[PredictorSpec],
+        columns: usize,
+        jobs: usize,
+    ) -> Vec<(usize, Vec<&str>)> {
+        let names = vec!["column"; columns];
+        let plan = Plan {
+            jobs,
+            strategy: GridStrategy::FusedColumns,
+            predictors,
+            columns: &names,
+        };
+        let misses = vec![(0..predictors.len()).collect::<Vec<_>>(); columns];
+        plan_shards(&plan, &misses)
+            .into_iter()
+            .map(|shard| {
+                let rows = shard
+                    .rows
+                    .iter()
+                    .map(|&p| predictors[p].name.as_str())
+                    .collect();
+                (shard.column, rows)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn paper_scenario_splits_along_its_tage_group_at_two_jobs() {
+        let predictors = crate::scenario::scenario_report_predictors();
+        assert_eq!(
+            planned(&predictors, 1, 2),
+            [
+                (0, vec!["tage-sc-l", "tage-gsc+imli"]),
+                (0, vec!["bimodal", "gshare", "gehl+imli", "perceptron+imli"]),
+            ]
+        );
+        // One worker, or as many columns as workers: whole columns.
+        assert_eq!(planned(&predictors, 1, 1).len(), 1);
+        assert_eq!(planned(&predictors, 2, 2).len(), 2);
+    }
+
+    #[test]
+    fn paper_report_plans_whole_columns_at_two_jobs_and_halves_at_sixteen() {
+        let predictors = crate::registry::paper_report_predictors();
+        let all: Vec<&str> = predictors.iter().map(|s| s.name.as_str()).collect();
+        let whole = planned(&predictors, 8, 2);
+        assert_eq!(whole.len(), 8);
+        for (b, (column, rows)) in whole.iter().enumerate() {
+            assert_eq!((*column, rows), (b, &all));
+        }
+        let halves = planned(&predictors, 8, 16);
+        assert_eq!(halves.len(), 16);
+        for (b, pair) in halves.chunks(2).enumerate() {
+            assert_eq!(pair[0].0, b);
+            assert_eq!(pair[1].0, b);
+            assert_eq!(
+                pair[0].1,
+                [
+                    "tage-gsc",
+                    "tage-gsc+sic",
+                    "tage-gsc+imli",
+                    "tage-gsc+wh",
+                    "tage-sc-l",
+                    "tage-sc-l+imli"
+                ]
+            );
+            assert_eq!(
+                pair[1].1,
+                [
+                    "gehl",
+                    "gehl+imli",
+                    "gehl+wh",
+                    "ftl",
+                    "ftl+imli",
+                    "perceptron+imli"
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn no_share_group_is_ever_split_and_every_cell_is_planned_once() {
+        for predictors in [
+            crate::registry::paper_report_predictors(),
+            crate::scenario::scenario_report_predictors(),
+            registry(),
+        ] {
+            let mut built: Vec<_> = predictors.iter().map(PredictorSpec::make).collect();
+            let groups: Vec<Vec<usize>> = share_units(&mut built)
+                .into_iter()
+                .filter(|unit| unit.len() > 1)
+                .collect();
+            for columns in [1, 3] {
+                for jobs in 1..=8 {
+                    let names = vec!["column"; columns];
+                    let plan = Plan {
+                        jobs,
+                        strategy: GridStrategy::FusedColumns,
+                        predictors: &predictors,
+                        columns: &names,
+                    };
+                    let misses = vec![(0..predictors.len()).collect::<Vec<_>>(); columns];
+                    let shards = plan_shards(&plan, &misses);
+                    let k = jobs.div_ceil(columns);
+                    assert!(shards.len() <= columns * k, "jobs={jobs}");
+                    let mut cells: Vec<(usize, usize)> = shards
+                        .iter()
+                        .flat_map(|s| s.rows.iter().map(move |&p| (s.column, p)))
+                        .collect();
+                    cells.sort_unstable();
+                    let expected: Vec<(usize, usize)> = (0..columns)
+                        .flat_map(|c| (0..predictors.len()).map(move |p| (c, p)))
+                        .collect();
+                    assert_eq!(cells, expected, "jobs={jobs} columns={columns}");
+                    for shard in &shards {
+                        assert!(shard.rows.is_sorted(), "rows keep column order");
+                        for group in &groups {
+                            let inside = group.iter().filter(|p| shard.rows.contains(p)).count();
+                            assert!(
+                                inside == 0 || inside == group.len(),
+                                "jobs={jobs}: group {group:?} split by {shard:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

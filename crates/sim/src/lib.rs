@@ -8,9 +8,10 @@
 //! * [`simulate`] / [`simulate_stream`] / [`Mpki`] — single benchmark
 //!   runs, over materialized traces or any
 //!   [`bp_trace::BranchStream`] in O(1) memory;
-//! * [`Engine`] — the parallel (predictor × benchmark) grid runner:
-//!   dynamic self-scheduling across worker threads, lazy per-cell
-//!   generation, deterministic grid-ordered results, progress
+//! * [`Engine`] — the parallel (predictor × benchmark) grid runner on
+//!   the column scheduler shared with reports and scenarios: fused
+//!   share-group shards, dynamic self-scheduling across worker threads,
+//!   lazy generation, deterministic grid-ordered results, progress
 //!   callbacks;
 //! * [`run_suite`] / [`SuiteResult`] — whole-suite runs (parallelized
 //!   across benchmarks) and suite-vs-suite comparisons;

@@ -18,9 +18,7 @@
 //!   is what makes them diffable artifacts of record.
 
 use crate::cache::{report_cell_key, CacheKey, SimCache};
-use crate::engine::{
-    auto_fuses, run_columns, run_indexed, transpose_columns, CellLabel, CellUpdate,
-};
+use crate::engine::{run_cells, CellCache, CellResult, CellUpdate, GridStrategy, Plan};
 use crate::registry::PredictorSpec;
 use crate::run::{fill_multi_block, Mpki, SimResult, MULTI_BLOCK_RECORDS};
 use crate::shared::{ColumnDrive, Tally};
@@ -143,6 +141,12 @@ pub struct AttributedRun {
     pub warmup: PhaseSummary,
     /// Everything after the warmup boundary.
     pub steady: PhaseSummary,
+}
+
+impl CellResult for AttributedRun {
+    fn mpki(&self) -> f64 {
+        self.result.mpki()
+    }
 }
 
 /// Simulates `predictor` over `stream` with the CBP protocol through
@@ -376,8 +380,7 @@ pub struct SuiteReport {
     /// (`cell_records[p * benchmarks.len() + b]`). Deterministic.
     pub cell_records: Vec<u64>,
     /// Wall seconds spent on each cell, row-major like `cell_records`
-    /// (under the fused path: the column's wall time apportioned
-    /// evenly). Throughput telemetry only — never serialized into the
+    /// (each shard's wall time apportioned evenly over its cells). Throughput telemetry only — never serialized into the
     /// deterministic report documents, and excluded from equality.
     pub cell_seconds: Vec<f64>,
 }
@@ -402,12 +405,11 @@ impl PartialEq for SuiteReport {
 /// scheduler. Deterministic: the report depends only on the inputs,
 /// never on worker count or scheduling.
 ///
-/// Scheduling follows the engine's auto heuristic: when at least two
-/// predictors share each benchmark and the columns can keep every
-/// worker busy, whole benchmark columns are fused
-/// ([`simulate_stream_attributed_multi`]) so each stream is generated
-/// once instead of once per predictor; otherwise cells are scheduled
-/// individually. Both paths produce the identical report.
+/// Scheduling is the engine's column scheduler: each shard of a
+/// benchmark column drives its predictors fused over one pass of the
+/// stream ([`simulate_stream_attributed_multi`]), a column splitting
+/// into share-group shards only when there are fewer columns than
+/// workers. Every plan produces the identical report.
 pub fn run_report(
     suite: &str,
     predictors: &[PredictorSpec],
@@ -431,11 +433,10 @@ pub fn run_report(
 
 /// [`run_report`] with an optional result cache. Every cell key is
 /// probed before any scheduling; verified hits are spliced in (their
-/// progress callbacks fire first, in cell order) and only the miss-set
-/// is dispatched — under the fused path each benchmark column fuses
-/// only its co-resident misses. Computed cells are written back under
-/// the policy. The report is bit-identical with the cache absent,
-/// cold, or warm.
+/// progress callbacks fire first, in cell order, at zero wall seconds)
+/// and only the misses of each column are planned into shards.
+/// Computed cells are written back under the policy. The report is
+/// bit-identical with the cache absent, cold, or warm.
 #[allow(clippy::too_many_arguments)]
 pub fn run_report_with_cache(
     suite: &str,
@@ -447,73 +448,41 @@ pub fn run_report_with_cache(
     cache: Option<&SimCache>,
     progress: &(dyn Fn(CellUpdate<'_>) + Sync),
 ) -> SuiteReport {
-    let total = predictors.len() * benchmarks.len();
-    let fused = auto_fuses(predictors.len(), benchmarks.len(), jobs);
-    let timed: Vec<(AttributedRun, f64)> = if let Some(cache) = cache.filter(|c| c.enabled()) {
-        run_attributed_cached(
-            cache,
-            predictors,
-            benchmarks,
-            instructions,
-            warmup_instructions,
-            jobs,
-            progress,
-        )
-    } else if fused {
-        let columns = run_columns(
-            jobs,
-            benchmarks.len(),
-            0,
-            total,
-            |b| {
-                let bench = &benchmarks[b];
-                let mut column: Vec<Box<dyn ConditionalPredictor + Send>> =
-                    predictors.iter().map(PredictorSpec::make).collect();
-                let runs = simulate_stream_attributed_multi(
-                    &mut column,
-                    bench.stream(instructions),
-                    warmup_instructions,
-                );
-                let labels = predictors
-                    .iter()
-                    .zip(&runs)
-                    .map(|(spec, run)| CellLabel {
-                        predictor: &spec.name,
-                        benchmark: &bench.name,
-                        mpki: run.result.mpki(),
-                    })
-                    .collect();
-                (runs, labels)
-            },
-            progress,
-        );
-        let (cells, seconds) = transpose_columns(columns, predictors.len(), benchmarks.len());
-        cells.into_iter().zip(seconds).collect()
-    } else {
-        run_indexed(
-            jobs,
-            total,
-            0,
-            total,
-            |idx| {
-                let spec = &predictors[idx / benchmarks.len()];
-                let bench = &benchmarks[idx % benchmarks.len()];
-                let mut predictor = spec.make();
-                let run = simulate_stream_attributed(
-                    predictor.as_mut(),
-                    bench.stream(instructions),
-                    warmup_instructions,
-                );
-                let label = CellLabel {
-                    predictor: &spec.name,
-                    benchmark: &bench.name,
-                    mpki: run.result.mpki(),
-                };
-                (run, label)
-            },
-            progress,
-        )
+    let columns: Vec<&str> = benchmarks.iter().map(|b| b.name.as_str()).collect();
+    let cache = cache.filter(|c| c.enabled()).map(|cache| CellCache {
+        keys: predictors
+            .iter()
+            .flat_map(|spec| {
+                benchmarks.iter().map(|bench| {
+                    report_cell_key(spec, &bench.name, instructions, warmup_instructions)
+                })
+            })
+            .collect(),
+        lookup: Box::new(|key: &CacheKey, b: usize| {
+            cache.lookup_attributed(key, &benchmarks[b].name)
+        }),
+        store: Box::new(|key: &CacheKey, run: &AttributedRun| cache.store_attributed(key, run)),
+    });
+    let plan = Plan {
+        jobs,
+        strategy: GridStrategy::FusedColumns,
+        predictors,
+        columns: &columns,
     };
+    let timed = run_cells(
+        &plan,
+        cache,
+        |shard| {
+            let mut column: Vec<Box<dyn ConditionalPredictor + Send>> =
+                shard.rows.iter().map(|&p| predictors[p].make()).collect();
+            simulate_stream_attributed_multi(
+                &mut column,
+                benchmarks[shard.column].stream(instructions),
+                warmup_instructions,
+            )
+        },
+        progress,
+    );
     let (runs, cell_seconds): (Vec<AttributedRun>, Vec<f64>) = timed.into_iter().unzip();
     let cell_records: Vec<u64> = runs.iter().map(|r| r.result.records).collect();
 
@@ -554,138 +523,6 @@ pub fn run_report_with_cache(
         cell_records,
         cell_seconds,
     }
-}
-
-/// The cache-aware attributed grid dispatch behind
-/// [`run_report_with_cache`]: probe every key, splice verified hits
-/// (zero wall seconds — no simulation ran), dispatch only the misses,
-/// store what was computed. Hits report progress first so `completed`
-/// stays monotonic when the schedulers continue from the hit count.
-fn run_attributed_cached(
-    cache: &SimCache,
-    predictors: &[PredictorSpec],
-    benchmarks: &[BenchmarkSpec],
-    instructions: u64,
-    warmup_instructions: u64,
-    jobs: usize,
-    progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-) -> Vec<(AttributedRun, f64)> {
-    let n_b = benchmarks.len();
-    let total = predictors.len() * n_b;
-    let keys: Vec<CacheKey> = predictors
-        .iter()
-        .flat_map(|spec| {
-            benchmarks
-                .iter()
-                .map(|bench| report_cell_key(spec, &bench.name, instructions, warmup_instructions))
-        })
-        .collect();
-    let mut cells: Vec<Option<(AttributedRun, f64)>> = keys
-        .iter()
-        .enumerate()
-        .map(|(idx, key)| {
-            cache
-                .lookup_attributed(key, &benchmarks[idx % n_b].name)
-                .map(|run| (run, 0.0))
-        })
-        .collect();
-    let mut completed = 0usize;
-    for (idx, cell) in cells.iter().enumerate() {
-        if let Some((run, _)) = cell {
-            completed += 1;
-            progress(CellUpdate {
-                predictor: &predictors[idx / n_b].name,
-                benchmark: &benchmarks[idx % n_b].name,
-                mpki: run.result.mpki(),
-                completed,
-                total,
-            });
-        }
-    }
-    let misses: Vec<usize> = (0..total).filter(|&idx| cells[idx].is_none()).collect();
-    if misses.is_empty() {
-        // Fall through: every cell was a verified hit.
-    } else if auto_fuses(predictors.len(), n_b, jobs) {
-        // Fuse only the co-resident misses of each benchmark column:
-        // fusing a predictor subset is bit-identical to solo runs
-        // (each predictor sees the same stream independently).
-        let miss_columns: Vec<(usize, Vec<usize>)> = (0..n_b)
-            .filter_map(|b| {
-                let preds: Vec<usize> = (0..predictors.len())
-                    .filter(|&p| cells[p * n_b + b].is_none())
-                    .collect();
-                (!preds.is_empty()).then_some((b, preds))
-            })
-            .collect();
-        let columns = run_columns(
-            jobs,
-            miss_columns.len(),
-            completed,
-            total,
-            |ci| {
-                let (b, preds) = &miss_columns[ci];
-                let bench = &benchmarks[*b];
-                let mut column: Vec<Box<dyn ConditionalPredictor + Send>> =
-                    preds.iter().map(|&p| predictors[p].make()).collect();
-                let runs = simulate_stream_attributed_multi(
-                    &mut column,
-                    bench.stream(instructions),
-                    warmup_instructions,
-                );
-                let labels = preds
-                    .iter()
-                    .zip(&runs)
-                    .map(|(&p, run)| CellLabel {
-                        predictor: &predictors[p].name,
-                        benchmark: &bench.name,
-                        mpki: run.result.mpki(),
-                    })
-                    .collect();
-                (runs, labels)
-            },
-            progress,
-        );
-        for ((b, preds), (runs, seconds)) in miss_columns.iter().zip(columns) {
-            let per_cell = seconds / runs.len().max(1) as f64;
-            for (&p, run) in preds.iter().zip(runs) {
-                cache.store_attributed(&keys[p * n_b + b], &run);
-                cells[p * n_b + b] = Some((run, per_cell));
-            }
-        }
-    } else {
-        let computed = run_indexed(
-            jobs,
-            misses.len(),
-            completed,
-            total,
-            |j| {
-                let idx = misses[j];
-                let spec = &predictors[idx / n_b];
-                let bench = &benchmarks[idx % n_b];
-                let mut predictor = spec.make();
-                let run = simulate_stream_attributed(
-                    predictor.as_mut(),
-                    bench.stream(instructions),
-                    warmup_instructions,
-                );
-                let label = CellLabel {
-                    predictor: &spec.name,
-                    benchmark: &bench.name,
-                    mpki: run.result.mpki(),
-                };
-                (run, label)
-            },
-            progress,
-        );
-        for (&idx, (run, seconds)) in misses.iter().zip(computed) {
-            cache.store_attributed(&keys[idx], &run);
-            cells[idx] = Some((run, seconds));
-        }
-    }
-    cells
-        .into_iter()
-        .map(|cell| cell.expect("every report cell filled"))
-        .collect()
 }
 
 use bp_components::json_string as json_str;

@@ -209,7 +209,7 @@ pub fn drive_block<P: ConditionalPredictor + ?Sized>(
 
 /// Simulates *several* predictors over **one** pass of a
 /// [`BranchStream`] with the CBP protocol — the shared-decode core of
-/// the engine's fused column mode.
+/// the engine's column shards.
 ///
 /// The stream is pulled once, in blocks of 4096 records
 /// (`MULTI_BLOCK_RECORDS`), and each block is driven through a

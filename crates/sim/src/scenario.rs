@@ -26,9 +26,7 @@
 //!   identical worst-case stream.
 
 use crate::cache::{scenario_cell_key, CacheKey, SimCache};
-use crate::engine::{
-    auto_fuses, run_columns, run_indexed, transpose_columns, CellLabel, CellUpdate,
-};
+use crate::engine::{run_cells, CellCache, CellResult, CellUpdate, GridStrategy, Plan};
 use crate::registry::{lookup, PredictorSpec};
 use crate::report::AttributionSummary;
 use crate::run::{simulate_stream, Mpki};
@@ -406,6 +404,12 @@ impl ScenarioRun {
     }
 }
 
+impl CellResult for ScenarioRun {
+    fn mpki(&self) -> f64 {
+        ScenarioRun::mpki(self)
+    }
+}
+
 /// Events pulled per block of the fused pass — same granularity as the
 /// record-block fusion in `bp-sim`'s grid core.
 const SCENARIO_BLOCK_EVENTS: usize = 4096;
@@ -585,12 +589,12 @@ impl PartialEq for ScenarioReport {
 /// Runs `predictors` through `scenario` on the engine's scheduling
 /// model and folds the outcome into a [`ScenarioReport`].
 ///
-/// Scheduling mirrors the grid: a scenario is one shared event stream
-/// (one "column"), so the fused path — every predictor consuming the
-/// stream once, block-wise — is taken whenever it can keep the workers
-/// busy; otherwise predictors fan out individually, each regenerating
-/// the identical stream. Both paths produce the identical report
-/// (tested), so worker count never changes a byte of the artifacts.
+/// Scheduling is the engine's column scheduler: a scenario is one
+/// shared event stream (one column), which `jobs` workers split into up
+/// to `jobs` shards along share-group lines; each shard consumes the
+/// stream once, block-wise ([`simulate_scenario_multi`]). Every plan
+/// produces the identical report (tested), so worker count never
+/// changes a byte of the artifacts.
 pub fn run_scenario(
     scenario: &ScenarioSpec,
     predictors: &[PredictorSpec],
@@ -603,9 +607,9 @@ pub fn run_scenario(
 /// [`run_scenario`] with an optional result cache. Each predictor's
 /// run is keyed on its config text plus the scenario's whole canonical
 /// spec text; verified hits are spliced in (progress first, in input
-/// order) and only the missing predictors re-consume the event stream
-/// — fused together when they can keep the workers busy. The report is
-/// bit-identical with the cache absent, cold, or warm.
+/// order) and only the missing predictors are planned into shards that
+/// re-consume the event stream. The report is bit-identical with the
+/// cache absent, cold, or warm.
 pub fn run_scenario_with_cache(
     scenario: &ScenarioSpec,
     predictors: &[PredictorSpec],
@@ -617,52 +621,30 @@ pub fn run_scenario_with_cache(
     if predictors.is_empty() {
         return Err("scenario needs at least one predictor".to_owned());
     }
-    let timed: Vec<(ScenarioRun, f64)> = if let Some(cache) = cache.filter(|c| c.enabled()) {
-        run_scenario_cached(cache, scenario, predictors, jobs, progress)
-    } else if auto_fuses(predictors.len(), 1, jobs) {
-        let columns = run_columns(
-            jobs,
-            1,
-            0,
-            predictors.len(),
-            |_| {
-                let mut events = scenario.events();
-                let runs = simulate_scenario_multi(predictors, events.as_mut());
-                let labels = predictors
-                    .iter()
-                    .zip(&runs)
-                    .map(|(spec, run)| CellLabel {
-                        predictor: &spec.name,
-                        benchmark: &scenario.name,
-                        mpki: run.mpki(),
-                    })
-                    .collect();
-                (runs, labels)
-            },
-            progress,
-        );
-        let (cells, seconds) = transpose_columns(columns, predictors.len(), 1);
-        cells.into_iter().zip(seconds).collect()
-    } else {
-        run_indexed(
-            jobs,
-            predictors.len(),
-            0,
-            predictors.len(),
-            |idx| {
-                let spec = &predictors[idx];
-                let mut events = scenario.events();
-                let run = simulate_scenario(spec, events.as_mut());
-                let label = CellLabel {
-                    predictor: &spec.name,
-                    benchmark: &scenario.name,
-                    mpki: run.mpki(),
-                };
-                (run, label)
-            },
-            progress,
-        )
+    let cache = cache.filter(|c| c.enabled()).map(|cache| CellCache {
+        keys: predictors
+            .iter()
+            .map(|spec| scenario_cell_key(spec, scenario))
+            .collect(),
+        lookup: Box::new(|key: &CacheKey, _| cache.lookup_scenario(key, scenario.tenants.len())),
+        store: Box::new(|key: &CacheKey, run: &ScenarioRun| cache.store_scenario(key, run)),
+    });
+    let plan = Plan {
+        jobs,
+        strategy: GridStrategy::FusedColumns,
+        predictors,
+        columns: &[scenario.name.as_str()],
     };
+    let timed = run_cells(
+        &plan,
+        cache,
+        |shard| {
+            let specs: Vec<PredictorSpec> =
+                shard.rows.iter().map(|&p| predictors[p].clone()).collect();
+            simulate_scenario_multi(&specs, scenario.events().as_mut())
+        },
+        progress,
+    );
     let (runs, cell_seconds): (Vec<ScenarioRun>, Vec<f64>) = timed.into_iter().unzip();
     let rows = predictors
         .iter()
@@ -683,109 +665,6 @@ pub fn run_scenario_with_cache(
         rows,
         cell_seconds,
     })
-}
-
-/// The cache-aware scenario dispatch behind
-/// [`run_scenario_with_cache`]: probe every predictor's key, splice
-/// verified hits (zero wall seconds), then run only the missing
-/// predictors over the shared event stream — fused when the miss-set
-/// alone satisfies the engine's fusing heuristic, individually
-/// otherwise. Computed runs are written back under the policy.
-fn run_scenario_cached(
-    cache: &SimCache,
-    scenario: &ScenarioSpec,
-    predictors: &[PredictorSpec],
-    jobs: usize,
-    progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-) -> Vec<(ScenarioRun, f64)> {
-    let total = predictors.len();
-    let keys: Vec<CacheKey> = predictors
-        .iter()
-        .map(|spec| scenario_cell_key(spec, scenario))
-        .collect();
-    let mut cells: Vec<Option<(ScenarioRun, f64)>> = keys
-        .iter()
-        .map(|key| {
-            cache
-                .lookup_scenario(key, scenario.tenants.len())
-                .map(|run| (run, 0.0))
-        })
-        .collect();
-    let mut completed = 0usize;
-    for (idx, cell) in cells.iter().enumerate() {
-        if let Some((run, _)) = cell {
-            completed += 1;
-            progress(CellUpdate {
-                predictor: &predictors[idx].name,
-                benchmark: &scenario.name,
-                mpki: run.mpki(),
-                completed,
-                total,
-            });
-        }
-    }
-    let misses: Vec<usize> = (0..total).filter(|&idx| cells[idx].is_none()).collect();
-    if misses.is_empty() {
-        // Every predictor was a verified hit; nothing to simulate.
-    } else if auto_fuses(misses.len(), 1, jobs) {
-        // Fuse only the missing predictors over one shared stream:
-        // fusing a subset is bit-identical to solo runs.
-        let miss_specs: Vec<PredictorSpec> =
-            misses.iter().map(|&idx| predictors[idx].clone()).collect();
-        let columns = run_columns(
-            jobs,
-            1,
-            completed,
-            total,
-            |_| {
-                let mut events = scenario.events();
-                let runs = simulate_scenario_multi(&miss_specs, events.as_mut());
-                let labels = miss_specs
-                    .iter()
-                    .zip(&runs)
-                    .map(|(spec, run)| CellLabel {
-                        predictor: &spec.name,
-                        benchmark: &scenario.name,
-                        mpki: run.mpki(),
-                    })
-                    .collect();
-                (runs, labels)
-            },
-            progress,
-        );
-        let (cell_runs, seconds) = transpose_columns(columns, miss_specs.len(), 1);
-        for ((&idx, run), seconds) in misses.iter().zip(cell_runs).zip(seconds) {
-            cache.store_scenario(&keys[idx], &run);
-            cells[idx] = Some((run, seconds));
-        }
-    } else {
-        let computed = run_indexed(
-            jobs,
-            misses.len(),
-            completed,
-            total,
-            |j| {
-                let spec = &predictors[misses[j]];
-                let mut events = scenario.events();
-                let run = simulate_scenario(spec, events.as_mut());
-                let label = CellLabel {
-                    predictor: &spec.name,
-                    benchmark: &scenario.name,
-                    mpki: run.mpki(),
-                };
-                (run, label)
-            },
-            progress,
-        );
-        for (&idx, (run, seconds)) in misses.iter().zip(computed) {
-            cache.store_scenario(&keys[idx], &run);
-            cells[idx] = Some((run, seconds));
-        }
-    }
-    cells
-        .into_iter()
-        .map(|cell| cell.expect("every scenario cell filled"))
-        .collect()
 }
 
 impl ScenarioReport {
@@ -1225,10 +1104,12 @@ mod tests {
         let scenario = scenario_by_name("paper_mix").expect("builtin");
         let predictors = two_predictors();
         let a = run_scenario(&scenario, &predictors, 1, &|_| {}).expect("runs");
-        let b = run_scenario(&scenario, &predictors, 8, &|_| {}).expect("runs");
-        assert_eq!(a, b, "report must not depend on worker count");
-        assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.to_markdown(), b.to_markdown());
+        for jobs in [2, 3, 8] {
+            let b = run_scenario(&scenario, &predictors, jobs, &|_| {}).expect("runs");
+            assert_eq!(a, b, "report must not depend on worker count (jobs={jobs})");
+            assert_eq!(a.to_json(), b.to_json());
+            assert_eq!(a.to_markdown(), b.to_markdown());
+        }
         let md = a.to_markdown();
         assert!(md.contains("## MPKI (combined and per tenant"));
         assert!(md.contains("## Per-tenant component attribution"));

@@ -14,10 +14,12 @@
 //!   form a GEHL group; each keeps its own tables, IMLI term and local
 //!   history.
 //!
-//! [`ColumnDrive`] groups a column's predictors when a pass starts. For
-//! each group of two or more, it runs the first member's shared part —
-//! the *leader's* — per chunk of [`PLAN_CHUNK`] records into bounded
-//! scratch, and every member commits the chunk from that output
+//! [`ColumnDrive`] groups a column's predictors when a pass starts, by
+//! the rule ([`share_units`]) the engine's shard planner also uses to
+//! keep each group within one work unit. For each group of two or more,
+//! it runs the first member's shared part — the *leader's* — per chunk
+//! of [`PLAN_CHUNK`] records into bounded scratch, and every member
+//! commits the chunk from that output
 //! ([`ConditionalPredictor::run_block_shared`]). Everything else — hosts
 //! without a shared part, and a host alone with its configuration —
 //! runs its own solo block drive. When the pass ends the leader's
@@ -43,6 +45,29 @@ pub(crate) const PLAN_CHUNK: usize = 256;
 /// One fused column's predictors.
 pub(crate) type Column = [Box<dyn ConditionalPredictor + Send>];
 
+/// Partitions `column` into share units, the one grouping rule of the
+/// fused drive and the shard planner: predictors whose shared front
+/// ends compare equal form one unit, and every other predictor is a
+/// unit of its own. Units hold column indices in column order, leader
+/// first, and come in the column order of their leaders.
+// bp-lint: allow-item(hot-path-alloc, "per-pass setup, once per fused column or shard plan")
+pub(crate) fn share_units(column: &mut Column) -> Vec<Vec<usize>> {
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    for i in 0..column.len() {
+        let (head, tail) = column.split_at_mut(i);
+        let unit = tail[0].shared_front_end().and_then(|front| {
+            units
+                .iter_mut()
+                .find(|unit| head[unit[0]].shared_front_end().as_ref() == Some(&front))
+        });
+        match unit {
+            Some(unit) => unit.push(i),
+            None => units.push(vec![i]),
+        }
+    }
+    units
+}
+
 /// Predictors sharing one front end, by column index, leader first.
 struct Group {
     /// Whether the shared part is a whole TAGE (else a GEHL front end).
@@ -60,37 +85,24 @@ pub(crate) struct ColumnDrive {
 }
 
 impl ColumnDrive {
-    /// Groups `column` by shared-front-end equality. A group of one is
-    /// the solo path: sharing pays only when one output feeds several
-    /// hosts.
+    /// Groups `column` by [`share_units`]. A unit of one is the solo
+    /// path: sharing pays only when one output feeds several hosts.
     // bp-lint: allow-item(hot-path-alloc, "per-pass setup, once per fused column; the per-block drive is allocation-free (tests/hotpath_allocations.rs)")
     pub(crate) fn new(column: &mut Column) -> Self {
         let mut groups: Vec<Group> = Vec::new();
         let mut solo = Vec::new();
-        for i in 0..column.len() {
-            let (head, tail) = column.split_at_mut(i);
-            let Some(front) = tail[0].shared_front_end() else {
-                solo.push(i);
-                continue;
-            };
-            match groups
-                .iter_mut()
-                .find(|group| head[group.members[0]].shared_front_end().as_ref() == Some(&front))
-            {
-                Some(group) => group.members.push(i),
-                None => groups.push(Group {
-                    tage: matches!(front, SharedFrontEnd::Tage(_)),
-                    members: vec![i],
+        for members in share_units(column) {
+            match members[..] {
+                [only] => solo.push(only),
+                _ => groups.push(Group {
+                    tage: matches!(
+                        column[members[0]].shared_front_end(),
+                        Some(SharedFrontEnd::Tage(_))
+                    ),
+                    members,
                 }),
             }
         }
-        groups.retain(|group| match group.members[..] {
-            [only] => {
-                solo.push(only);
-                false
-            }
-            _ => true,
-        });
         let scratch = |tage: bool| {
             if groups.iter().any(|group| group.tage == tage) {
                 PLAN_CHUNK

@@ -1,6 +1,6 @@
 //! Whole-suite simulation and suite-vs-suite comparison.
 
-use crate::engine::{run_indexed, CellLabel};
+use crate::engine::run_units;
 use crate::run::{simulate_stream, SimResult};
 use bp_components::ConditionalPredictor;
 use bp_workloads::BenchmarkSpec;
@@ -157,27 +157,18 @@ pub fn run_suite(
     instructions: u64,
 ) -> SuiteResult {
     let jobs = std::thread::available_parallelism().map_or(4, NonZeroUsize::get);
-    let timed = run_indexed(
+    let timed = run_units(
         jobs,
         specs.len(),
         0,
-        specs.len(),
         |idx| {
-            let spec = &specs[idx];
             let mut predictor = factory();
-            let result = simulate_stream(predictor.as_mut(), spec.stream(instructions));
-            // A suite run is one predictor row; factory-made predictors
-            // have no registry name to label cells with.
-            let label = CellLabel {
-                predictor: "",
-                benchmark: &spec.name,
-                mpki: result.mpki(),
-            };
-            (result, label)
+            let result = simulate_stream(predictor.as_mut(), specs[idx].stream(instructions));
+            (vec![result], Vec::new())
         },
-        &|_| {},
+        &|_, _, _| {},
     );
-    let rows: Vec<SimResult> = timed.into_iter().map(|(result, _)| result).collect();
+    let rows: Vec<SimResult> = timed.into_iter().flat_map(|(results, _)| results).collect();
     let predictor = rows
         .first()
         .map_or_else(String::new, |r| r.predictor.clone());

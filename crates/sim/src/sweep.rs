@@ -24,7 +24,7 @@
 //!   file formats of `bp grid` / `bp report` / `bp sweep`, parsed with
 //!   the same hand-rolled JSON subset as the config layer.
 
-use crate::engine::{Engine, GridStrategy};
+use crate::engine::Engine;
 use crate::registry::{FamilyConfig, PredictorSpec, RegistryConfig};
 use bp_components::{
     BimodalConfig, ConfigError, ConfigValue, GShareConfig, LoopPredictorConfig, PredictorConfig,
@@ -545,7 +545,6 @@ pub fn run_sweep_with_cache(
         }
     }
     let grid = Engine::with_jobs(jobs)
-        .with_strategy(GridStrategy::FusedColumns)
         .with_cache(cache.cloned())
         .run_grid_with_progress(&specs, benchmarks, instructions, progress);
     let rows = specs

@@ -77,7 +77,10 @@
 //! in the cache are spliced in without simulating, and only the misses
 //! run. Artifacts are byte-identical with the cache off, cold, or warm.
 //!
-//! Every `--instr` budget must be at least one instruction. Command
+//! Every `--instr` budget, and the positional instruction count of
+//! `simulate`, `profile` and `compare`, must be at least one
+//! instruction; a positional count applies to a benchmark name only,
+//! never to a trace file. Command
 //! output to a closed pipe (`bp list | head -1`) ends the command
 //! quietly with success.
 
@@ -152,7 +155,7 @@ fn usage() -> ExitCode {
          bp simulate <config> <bench-or-file> [instr]\n  bp profile <config> <bench> [instr] [top]\n  \
          bp compare <bench> [instr]\n  \
          bp grid <suite> [--jobs N] [--json] [--instr N] [--family F] [--predictors a,b,c] \
-         [--config FILE] [--strategy auto|cell|fused] \
+         [--config FILE] [--strategy cell|fused] \
          [--cache [DIR]] [--cache-mode M]\n  \
          bp report <suite> [--jobs N] [--instr N] [--warmup N] [--json] [--family F] \
          [--predictors a,b,c] [--config FILE] [--out-dir D] [--cache [DIR]] [--cache-mode M]\n  \
@@ -180,14 +183,33 @@ fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
     s.parse().map_err(|_| format!("bad {what}: {s}"))
 }
 
-/// Parses an `--instr` budget. The result is non-zero by type: a zero
-/// budget would run an empty grid and emit all-zero artifacts, so it is
-/// rejected here, naming the flag.
-fn parse_instr(s: &str) -> Result<NonZeroU64, String> {
+/// Parses an instruction budget: `what` is `--instr` or the positional
+/// instruction count, named in the error. The result is non-zero by
+/// type: a zero budget would run an empty benchmark and report all-zero
+/// results, so it is rejected here.
+fn parse_instr(s: &str, what: &str) -> Result<NonZeroU64, String> {
     s.parse::<NonZeroU64>().map_err(|e| match e.kind() {
-        IntErrorKind::Zero => "--instr must be at least 1 instruction, got 0".to_owned(),
+        IntErrorKind::Zero => format!("{what} must be at least 1 instruction, got 0"),
         _ => format!("bad instruction count: {s}"),
     })
+}
+
+/// The optional positional instruction count of `simulate`, `profile`
+/// and `compare` (default 1M), under `--instr`'s non-zero rule. The
+/// count sizes a generated benchmark only: a trace file is read whole,
+/// so a count given with one is rejected instead of silently ignored.
+fn positional_instr(count: Option<&String>, source: &str) -> Result<u64, String> {
+    let Some(count) = count else {
+        return Ok(1_000_000);
+    };
+    let instructions = parse_instr(count, "the instruction count")?.get();
+    if find_benchmark(source).is_none() {
+        return Err(format!(
+            "an instruction count applies only to a benchmark name, and {source} is not one \
+             (a trace file is read whole; try `bp list benchmarks`)"
+        ));
+    }
+    Ok(instructions)
 }
 
 fn run(args: &[String]) -> Result<Option<()>, String> {
@@ -255,11 +277,7 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
             })
         }
         ["simulate", config, source] | ["simulate", config, source, _] => {
-            let instructions = args
-                .get(3)
-                .map(|s| parse_u64(s, "instruction count"))
-                .transpose()?
-                .unwrap_or(1_000_000);
+            let instructions = positional_instr(args.get(3), source)?;
             let mut p = make_predictor(config)
                 .ok_or_else(|| format!("unknown predictor {config} (try `bp list predictors`)"))?;
             // Both benchmark names and trace files (v1 or v2) simulate
@@ -280,11 +298,7 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
             Ok(())
         }
         ["profile", config, bench] | ["profile", config, bench, ..] => {
-            let instructions = args
-                .get(3)
-                .map(|s| parse_u64(s, "instruction count"))
-                .transpose()?
-                .unwrap_or(1_000_000);
+            let instructions = positional_instr(args.get(3), bench)?;
             let top = args
                 .get(4)
                 .map(|s| parse_u64(s, "top count"))
@@ -320,11 +334,7 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
         ["lint", ..] => run_lint(&args[1..]),
         ["cache", ..] => run_cache_cmd(&args[1..]),
         ["compare", bench] | ["compare", bench, _] => {
-            let instructions = args
-                .get(2)
-                .map(|s| parse_u64(s, "instruction count"))
-                .transpose()?
-                .unwrap_or(1_000_000);
+            let instructions = positional_instr(args.get(2), bench)?;
             let trace = load_trace(bench, instructions)?;
             let mut rows: Vec<(String, f64)> = registry()
                 .into_iter()
@@ -430,7 +440,7 @@ fn parse_sweep_flags(
         predictors: initial_predictors,
         warmup: None,
         out_dir: ".".to_owned(),
-        strategy: GridStrategy::Auto,
+        strategy: GridStrategy::default(),
         cache: None,
     };
     let mut cache_dir: Option<String> = None;
@@ -457,7 +467,9 @@ fn parse_sweep_flags(
                         .ok_or_else(|| format!("bad worker count: {v}"))?,
                 );
             }
-            "--instr" => parsed.instructions = parse_instr(value("instruction count")?)?.get(),
+            "--instr" => {
+                parsed.instructions = parse_instr(value("instruction count")?, "--instr")?.get()
+            }
             "--json" => parsed.json = true,
             "--family" => {
                 let v = value("family name")?;
@@ -496,10 +508,9 @@ fn parse_sweep_flags(
             "--strategy" if !report_flags => {
                 let v = value("strategy name")?;
                 parsed.strategy = match v.to_ascii_lowercase().as_str() {
-                    "auto" => GridStrategy::Auto,
                     "cell" | "per-cell" => GridStrategy::PerCell,
                     "fused" | "fused-columns" => GridStrategy::FusedColumns,
-                    other => return Err(format!("unknown strategy {other} (auto, cell, fused)")),
+                    other => return Err(format!("unknown strategy {other} (cell, fused)")),
                 };
             }
             "--warmup" if report_flags => {
@@ -750,7 +761,9 @@ fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), String> {
                         .ok_or_else(|| format!("bad worker count: {v}"))?,
                 );
             }
-            "--instr" => scenario.instructions = parse_instr(value("instruction count")?)?.get(),
+            "--instr" => {
+                scenario.instructions = parse_instr(value("instruction count")?, "--instr")?.get()
+            }
             "--json" => json = true,
             "--family" => {
                 let v = value("family name")?;
@@ -922,7 +935,9 @@ fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
                         .ok_or_else(|| format!("bad worker count: {v}"))?,
                 );
             }
-            "--instr" => instructions = Some(parse_instr(value("instruction count")?)?.get()),
+            "--instr" => {
+                instructions = Some(parse_instr(value("instruction count")?, "--instr")?.get())
+            }
             "--json" => json = true,
             "--quick" => quick = true,
             "--out-dir" => out_dir = value("directory")?.to_owned(),
@@ -1172,7 +1187,7 @@ fn run_bench(flags: &[String]) -> Result<(), String> {
             }
             "--instr" => {
                 let v = it.next().ok_or("--instr needs an instruction count")?;
-                instr = Some(parse_instr(v)?.get());
+                instr = Some(parse_instr(v, "--instr")?.get());
             }
             "--reps" => {
                 let v = it.next().ok_or("--reps needs a repetition count")?;

@@ -1,8 +1,8 @@
 //! Behavioral contract of the content-addressed result cache:
 //!
 //! * **Differential**: grid, report, and scenario outputs are
-//!   bit-identical with the cache off, cold, and warm, across worker
-//!   counts — over every registry configuration;
+//!   bit-identical with the cache off, cold, warm, and partly warm,
+//!   across worker counts — over every registry configuration;
 //! * **Key identity**: the cache key depends on config text, workload,
 //!   and budgets only — never on worker count or predictor-list order
 //!   — and separates every registry configuration and budget change;
@@ -13,14 +13,15 @@
 use imli_repro::cache::{CacheKey, CacheStore};
 use imli_repro::components::PredictorConfig as _;
 use imli_repro::sim::{
-    grid_cell_key, registry, report_cell_key, run_report_with_cache, run_scenario_with_cache,
-    scenario_by_name, scenario_cell_key, scenario_report_predictors, CachePolicy, Engine,
-    GridStrategy, PredictorSpec, SimCache,
+    grid_cell_key, paper_report_predictors, registry, report_cell_key, run_report_with_cache,
+    run_scenario_with_cache, scenario_by_name, scenario_cell_key, scenario_report_predictors,
+    CachePolicy, CellUpdate, Engine, GridStrategy, PredictorSpec, SimCache,
 };
 use imli_repro::workloads::{cbp4_suite, BenchmarkSpec};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 const INSTR: u64 = 10_000;
 
@@ -72,12 +73,8 @@ fn grid_bit_identical_off_cold_warm_across_jobs_every_config() {
         .run_grid(&predictors, &benchmarks, INSTR);
     assert_eq!(baseline, cold_grid);
     assert_eq!(cold.hits(), 0);
-    for jobs in [1, 8] {
-        for strategy in [
-            GridStrategy::Auto,
-            GridStrategy::PerCell,
-            GridStrategy::FusedColumns,
-        ] {
+    for jobs in [1, 2, 3, 8] {
+        for strategy in [GridStrategy::PerCell, GridStrategy::FusedColumns] {
             let warm = SimCache::new(&dir, CachePolicy::ReadWrite);
             let warm_grid = Engine::with_jobs(jobs)
                 .with_strategy(strategy)
@@ -124,7 +121,7 @@ fn report_bytes_identical_off_cold_warm_across_jobs_every_config() {
     );
     assert_eq!(off.to_json(), cold_report.to_json());
     assert_eq!(off.to_markdown(), cold_report.to_markdown());
-    for jobs in [1, 8] {
+    for jobs in [1, 2, 3, 8] {
         let warm = SimCache::new(&dir, CachePolicy::ReadWrite);
         let warm_report = run_report_with_cache(
             "cbp4",
@@ -155,7 +152,7 @@ fn scenario_bytes_identical_off_cold_warm_across_jobs() {
     let cold_report =
         run_scenario_with_cache(&scenario, &predictors, 8, Some(&cold), &|_| {}).expect("runs");
     assert_eq!(off.to_json(), cold_report.to_json());
-    for jobs in [1, 8] {
+    for jobs in [1, 2, 3, 8] {
         let warm = SimCache::new(&dir, CachePolicy::ReadWrite);
         let warm_report =
             run_scenario_with_cache(&scenario, &predictors, jobs, Some(&warm), &|_| {})
@@ -165,6 +162,138 @@ fn scenario_bytes_identical_off_cold_warm_across_jobs() {
         assert_eq!(warm.hits() as usize, predictors.len());
         assert_eq!(warm.stores(), 0);
     }
+    nuke(&dir);
+}
+
+/// A progress callback that records every `(completed, total)`, and
+/// the check that they count up by one to `[total/total]`.
+struct ProgressLog(Mutex<Vec<(usize, usize)>>);
+
+impl ProgressLog {
+    fn new() -> Self {
+        ProgressLog(Mutex::new(Vec::new()))
+    }
+
+    fn record(&self, update: CellUpdate<'_>) {
+        let mut log = self.0.lock().expect("progress log");
+        log.push((update.completed, update.total));
+    }
+
+    fn assert_counts_to(&self, total: usize) {
+        let log = self.0.lock().expect("progress log");
+        let expected: Vec<(usize, usize)> = (1..=total).map(|n| (n, total)).collect();
+        assert_eq!(*log, expected, "progress must count 1..={total} once each");
+    }
+}
+
+#[test]
+fn partly_warm_report_at_two_jobs_computes_and_stores_exactly_the_misses() {
+    // Every cell of the first benchmark, and one member of each share
+    // group of the second, is pre-stored: the second column alone
+    // misses, so two workers split it into shards over partial groups.
+    let predictors = paper_report_predictors();
+    let benchmarks = benchmarks();
+    let warmup = INSTR / 5;
+    let total = predictors.len() * benchmarks.len();
+    let run = |predictors: &[PredictorSpec],
+               benchmarks: &[BenchmarkSpec],
+               cache: Option<&SimCache>,
+               progress: &(dyn Fn(CellUpdate<'_>) + Sync)| {
+        run_report_with_cache(
+            "cbp4", predictors, benchmarks, INSTR, warmup, 2, cache, progress,
+        )
+    };
+    let off = run(&predictors, &benchmarks, None, &|_| {});
+    let full = scratch("report-partial-full");
+    run(
+        &predictors,
+        &benchmarks,
+        Some(&SimCache::new(&full, CachePolicy::ReadWrite)),
+        &|_| {},
+    );
+
+    let dir = scratch("report-partial");
+    let seed = SimCache::new(&dir, CachePolicy::ReadWrite);
+    run(&predictors, &benchmarks[..1], Some(&seed), &|_| {});
+    let partial: Vec<PredictorSpec> = ["tage-gsc", "gehl"]
+        .iter()
+        .map(|name| {
+            predictors
+                .iter()
+                .find(|s| s.name == *name)
+                .expect("paper config")
+                .clone()
+        })
+        .collect();
+    run(&partial, &benchmarks[1..], Some(&seed), &|_| {});
+    let stored = seed.stores() as usize;
+    assert_eq!(stored, predictors.len() + partial.len());
+
+    let warm = SimCache::new(&dir, CachePolicy::ReadWrite);
+    let log = ProgressLog::new();
+    let report = run(&predictors, &benchmarks, Some(&warm), &|u| log.record(u));
+    assert_eq!(off.to_json(), report.to_json());
+    assert_eq!(off.to_markdown(), report.to_markdown());
+    assert_eq!(warm.hits() as usize, stored);
+    assert_eq!(
+        warm.stores() as usize,
+        total - stored,
+        "exactly the misses are stored"
+    );
+    assert_eq!(entry_files(&dir), entry_files(&full));
+    log.assert_counts_to(total);
+    nuke(&dir);
+    nuke(&full);
+}
+
+#[test]
+fn partly_warm_scenario_at_two_jobs_computes_and_stores_exactly_the_misses() {
+    // `tage-sc-l` is pre-stored and its TAGE partner `tage-gsc+imli` is
+    // not, so the missing half of the group runs without its leader.
+    let mut scenario = scenario_by_name("paper_switch").expect("built-in");
+    scenario.instructions = 20_000;
+    let predictors = scenario_report_predictors();
+    let total = predictors.len();
+    let off = run_scenario_with_cache(&scenario, &predictors, 1, None, &|_| {}).expect("runs");
+    let dir = scratch("scenario-partial");
+    let seed = SimCache::new(&dir, CachePolicy::ReadWrite);
+    let partial: Vec<PredictorSpec> = ["bimodal", "tage-sc-l"]
+        .iter()
+        .map(|name| {
+            predictors
+                .iter()
+                .find(|s| s.name == *name)
+                .expect("default")
+                .clone()
+        })
+        .collect();
+    run_scenario_with_cache(&scenario, &partial, 2, Some(&seed), &|_| {}).expect("runs");
+
+    let warm = SimCache::new(&dir, CachePolicy::ReadWrite);
+    let log = ProgressLog::new();
+    let report =
+        run_scenario_with_cache(&scenario, &predictors, 2, Some(&warm), &|u| log.record(u))
+            .expect("runs");
+    assert_eq!(off.to_json(), report.to_json());
+    assert_eq!(off.to_markdown(), report.to_markdown());
+    assert_eq!(warm.hits() as usize, partial.len());
+    assert_eq!(warm.stores() as usize, total - partial.len());
+    let keys: BTreeSet<String> = predictors
+        .iter()
+        .map(|spec| {
+            let key = scenario_cell_key(spec, &scenario);
+            let path = CacheStore::new(&dir).entry_path(&key);
+            let parent = path.parent().and_then(Path::file_name).expect("prefix dir");
+            let file = path.file_name().expect("entry file");
+            format!("{}/{}", parent.to_string_lossy(), file.to_string_lossy())
+        })
+        .collect();
+    assert_eq!(
+        entry_files(&dir),
+        keys,
+        "every run stored under its own key"
+    );
+    log.assert_counts_to(total);
     nuke(&dir);
 }
 

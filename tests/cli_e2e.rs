@@ -1,6 +1,7 @@
 //! End-to-end checks of `bp`'s command-line contract: output to a
-//! closed pipe ends a command cleanly, a zero `--instr` budget is
-//! rejected with an error that names the flag, and an out-of-range
+//! closed pipe ends a command cleanly, a zero instruction budget is
+//! rejected with an error that names the flag or count, an instruction
+//! count given with a trace file is rejected, and an out-of-range
 //! config field is a typed error, never a panic.
 
 use std::path::PathBuf;
@@ -88,25 +89,76 @@ fn closed_stdout_pipe_keeps_a_failing_exit_code() {
 fn zero_instruction_budget_is_rejected_by_every_sweep_command() {
     let dir = scratch_dir("instr0");
     let out_dir = dir.to_str().expect("utf-8 path");
-    for args in [
-        &["grid", "paper", "--instr", "0", "--json"][..],
-        &["report", "paper", "--instr", "0", "--out-dir", out_dir][..],
-        &["sweep", "paper", "--instr", "0", "--out-dir", out_dir][..],
+    for (args, names) in [
+        (&["grid", "paper", "--instr", "0", "--json"][..], "--instr"),
+        (
+            &["report", "paper", "--instr", "0", "--out-dir", out_dir][..],
+            "--instr",
+        ),
+        (
+            &["sweep", "paper", "--instr", "0", "--out-dir", out_dir][..],
+            "--instr",
+        ),
+        // The positional instruction count follows the same rule.
+        (
+            &["simulate", "bimodal", "SPEC2K6-04", "0"][..],
+            "instruction count",
+        ),
+        (
+            &["profile", "bimodal", "SPEC2K6-04", "0"][..],
+            "instruction count",
+        ),
+        (&["compare", "SPEC2K6-04", "0"][..], "instruction count"),
     ] {
         let out = bp().args(args).output().expect("spawn bp");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "bp {args:?} accepted a zero budget");
         assert!(
-            stderr.contains("--instr") && stderr.contains("got 0"),
-            "bp {args:?}: the error must name --instr: {stderr}"
+            stderr.contains(names) && stderr.contains("got 0"),
+            "bp {args:?}: the error must name {names}: {stderr}"
         );
         assert!(
             !stderr.contains("warmup"),
             "bp {args:?}: misleading error: {stderr}"
         );
+        assert!(
+            out.stdout.is_empty(),
+            "bp {args:?} printed a result for a zero budget"
+        );
     }
     let written: Vec<_> = std::fs::read_dir(&dir).expect("scratch dir").collect();
     assert!(written.is_empty(), "a rejected run must write no artifact");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn instruction_count_with_a_trace_file_is_a_typed_error() {
+    // A trace file is read whole, so a count given with one could only
+    // be ignored while the output looked as if it were honoured.
+    let dir = scratch_dir("file-count");
+    let trace = dir.join("t.bptr");
+    let trace = trace.to_str().expect("utf-8 path");
+    let generated = bp()
+        .args(["generate", "SPEC2K6-04", "20000", trace])
+        .output()
+        .expect("spawn bp");
+    assert!(generated.status.success());
+    let whole = bp()
+        .args(["simulate", "bimodal", trace])
+        .output()
+        .expect("spawn bp");
+    assert!(whole.status.success(), "a file without a count still runs");
+    assert!(String::from_utf8_lossy(&whole.stdout).contains("MPKI"));
+    for (count, error) in [("1000", "applies only to a benchmark name"), ("0", "got 0")] {
+        let out = bp()
+            .args(["simulate", "bimodal", trace, count])
+            .output()
+            .expect("spawn bp");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "count {count}: {stderr}");
+        assert!(out.stdout.is_empty(), "count {count}: printed a result");
+        assert!(stderr.contains(error), "count {count}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
