@@ -5,7 +5,6 @@ use crate::budget::{StorageBudget, StorageItem};
 use crate::counter::SaturatingCounter;
 use crate::hash::pc_bits;
 use crate::predictor::ConditionalPredictor;
-use bp_history::GlobalHistory;
 use bp_trace::BranchRecord;
 
 /// GShare (McFarling 1993): a single table of 2-bit counters indexed by
@@ -21,7 +20,12 @@ use bp_trace::BranchRecord;
 #[derive(Debug, Clone)]
 pub struct GShare {
     counters: Vec<SaturatingCounter>,
-    history: GlobalHistory,
+    /// Global history register, newest outcome in bit 0. At most 64
+    /// bits are ever read and `update` pushes in commit order, so a
+    /// plain shift register suffices: no ring, no checkpoint.
+    history: u64,
+    /// Selects the `history_len` newest bits of `history`.
+    history_mask: u64,
     history_len: usize,
     mask: u64,
     name: String,
@@ -41,7 +45,8 @@ impl GShare {
         let entries = 1usize << log_entries;
         GShare {
             counters: vec![SaturatingCounter::new(2); entries],
-            history: GlobalHistory::new(1024),
+            history: 0,
+            history_mask: crate::frontend::low_mask(history_len),
             history_len,
             mask: entries as u64 - 1,
             name: format!("gshare-{log_entries}x{history_len}"),
@@ -50,7 +55,7 @@ impl GShare {
 
     #[inline]
     fn index(&self, pc: u64) -> usize {
-        ((pc_bits(pc) ^ self.history.low_bits(self.history_len)) & self.mask) as usize
+        ((pc_bits(pc) ^ (self.history & self.history_mask)) & self.mask) as usize
     }
 }
 
@@ -74,11 +79,11 @@ impl ConditionalPredictor for GShare {
     fn update(&mut self, record: &BranchRecord) {
         let idx = self.index(record.pc);
         self.counters[idx].train(record.taken);
-        self.history.push(record.taken);
+        self.history = (self.history << 1) | u64::from(record.taken);
     }
 
     fn flush_history(&mut self) {
-        self.history.flush();
+        self.history = 0;
     }
 
     fn name(&self) -> &str {

@@ -32,6 +32,11 @@ impl GlobalHistoryCheckpoint {
 /// never clobbered (as long as the wrong path is shorter than the buffer,
 /// which holds by construction for any realistic in-flight window).
 ///
+/// Beside the ring, every `push` shifts the outcome into a newest-first
+/// `u64` register of the 64 most recent outcomes, so
+/// [`low_bits`](Self::low_bits) is one mask. Only `restore` rebuilds the
+/// register, from the ring.
+///
 /// ```
 /// use bp_history::GlobalHistory;
 /// let mut h = GlobalHistory::new(256);
@@ -45,6 +50,9 @@ pub struct GlobalHistory {
     words: Vec<u64>,
     mask: u64,
     head: u64,
+    /// The 64 most recent outcomes, newest in bit 0: always equal to
+    /// the ring's 64-bit window at `head`.
+    recent: u64,
 }
 
 impl GlobalHistory {
@@ -62,6 +70,7 @@ impl GlobalHistory {
             words: vec![0; capacity / 64],
             mask: capacity as u64 - 1,
             head: 0,
+            recent: 0,
         }
     }
 
@@ -88,6 +97,7 @@ impl GlobalHistory {
             self.words[word] &= !(1 << bit);
         }
         self.head += 1;
+        self.recent = (self.recent << 1) | u64::from(taken);
     }
 
     /// Returns the direction of the branch `age` occurrences ago
@@ -106,11 +116,9 @@ impl GlobalHistory {
     /// Packs the `n` most recent outcomes into the low bits of a `u64`
     /// (bit 0 = most recent). `n` must be at most 64.
     ///
-    /// Word-based: the window is gathered from at most two backing
-    /// words and bit-reversed into place, instead of `n` per-bit
-    /// `bit()` probes — this runs once per prediction in every
-    /// neural-summation host (GEHL, the perceptron, the TAGE
-    /// statistical corrector path).
+    /// A mask of the register `push` maintains: this runs once per
+    /// prediction in every neural-summation host (GEHL, the
+    /// perceptron, the TAGE statistical corrector path).
     ///
     /// # Panics
     ///
@@ -118,8 +126,18 @@ impl GlobalHistory {
     #[inline]
     pub fn low_bits(&self, n: usize) -> u64 {
         assert!(n <= 64, "low_bits supports at most 64 bits, got {n}");
+        if n == 64 {
+            self.recent
+        } else {
+            self.recent & ((1u64 << n) - 1)
+        }
+    }
+
+    /// The 64 most recent outcomes gathered from the ring, newest in
+    /// bit 0: what `recent` holds, recomputed after a restore.
+    fn gather_recent(&self) -> u64 {
         // Bits older than the first push read as not-taken.
-        let avail = self.head.min(n as u64) as u32;
+        let avail = self.head.min(64) as u32;
         if avail == 0 {
             return 0;
         }
@@ -138,9 +156,8 @@ impl GlobalHistory {
             raw &= (1u64 << avail) - 1;
         }
         // Newest-in-bit-0 means reversing the window: pad the missing
-        // old bits as zeros at the top, reverse, and keep `n` bits.
-        let padded = raw << (n as u32 - avail);
-        padded.reverse_bits() >> (64 - n as u32)
+        // old bits as zeros at the top, then reverse.
+        (raw << (64 - avail)).reverse_bits()
     }
 
     /// Erases every recorded outcome (a context-switch flush): all bits
@@ -155,6 +172,7 @@ impl GlobalHistory {
     /// outcome: a flush destroys history, repair cannot resurrect it.
     pub fn flush(&mut self) {
         self.words.fill(0);
+        self.recent = 0;
     }
 
     /// Takes a checkpoint: the current speculative head pointer.
@@ -182,6 +200,7 @@ impl GlobalHistory {
             "wrong path longer than history capacity"
         );
         self.head = cp.head;
+        self.recent = self.gather_recent();
     }
 }
 
@@ -226,22 +245,17 @@ mod tests {
 
     #[test]
     fn low_bits_matches_per_bit_reference() {
-        // The word-gather fast path must agree with the per-bit
-        // definition for every capacity/fill/width combination,
-        // including pre-history zeros, wrapped buffers, and unaligned
-        // window starts.
+        // The register must agree with the per-bit definition for
+        // every capacity/fill/width combination, including
+        // pre-history zeros and wrapped buffers.
         for capacity in [64usize, 128, 1024] {
             let mut h = GlobalHistory::new(capacity);
             let mut x = 0x1234_5678_9ABC_DEFFu64;
             for push in 0..(2 * capacity + 7) {
                 for n in [0usize, 1, 3, 31, 32, 33, 63, 64] {
-                    let mut naive = 0u64;
-                    for i in (0..n).rev() {
-                        naive = (naive << 1) | u64::from(h.bit(i));
-                    }
                     assert_eq!(
                         h.low_bits(n),
-                        naive,
+                        per_bit_low_bits(&h, n),
                         "capacity {capacity}, {push} pushes, n {n}"
                     );
                 }
@@ -394,5 +408,60 @@ mod tests {
     fn display_is_informative() {
         let h = GlobalHistory::new(64);
         assert!(format!("{h}").contains("cap 64"));
+    }
+
+    /// `low_bits(n)` assembled bit by bit from `bit(age)`.
+    fn per_bit_low_bits(h: &GlobalHistory, n: usize) -> u64 {
+        (0..n)
+            .rev()
+            .fold(0, |acc, age| (acc << 1) | u64::from(h.bit(age)))
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Over any mix of pushes, flushes, checkpoints and restores,
+        /// the register behind `low_bits` agrees with the ring read bit
+        /// by bit, for every width, before 64 pushes and after a flush
+        /// included. Op codes: 0..=5 push one outcome, 6 pushes a burst
+        /// of 300 (wrapping both rings), 7 flushes, 8 checkpoints,
+        /// 9..=10 restore the newest checkpoint the ring can still
+        /// repair.
+        #[test]
+        fn low_bits_register_matches_ring(
+            ops in proptest::collection::vec((0u8..11, any::<u64>()), 0..300),
+        ) {
+            for capacity in [64usize, 1024] {
+                let mut h = GlobalHistory::new(capacity);
+                let mut checkpoints: Vec<(GlobalHistoryCheckpoint, u64)> = Vec::new();
+                for &(op, payload) in &ops {
+                    match op {
+                        0..=5 => h.push(payload & 1 == 1),
+                        6 => {
+                            let mut x = payload | 1;
+                            for _ in 0..300 {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                h.push(x & 1 == 1);
+                            }
+                        }
+                        7 => h.flush(),
+                        8 => checkpoints.push((h.checkpoint(), h.pushes())),
+                        _ => {
+                            while let Some((cp, at)) = checkpoints.pop() {
+                                if h.pushes() - at < capacity as u64 {
+                                    h.restore(cp);
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                    for n in 0..=64 {
+                        prop_assert_eq!(h.low_bits(n), per_bit_low_bits(&h, n));
+                    }
+                }
+            }
+        }
     }
 }

@@ -60,7 +60,10 @@ pub use report::{
     simulate_stream_attributed_multi, AttributedRun, AttributionSummary, ComponentTally,
     PhaseSummary, ReportRow, SuiteReport,
 };
-pub use run::{drive_block, simulate, simulate_stream, simulate_stream_multi, Mpki, SimResult};
+pub use run::{
+    drive_block, fill_multi_block, simulate, simulate_stream, simulate_stream_multi, Mpki,
+    SimResult,
+};
 pub use scenario::{
     adversarial_search, parse_scenario_file, run_scenario, run_scenario_with_cache,
     scenario_by_name, scenario_report_predictors, simulate_scenario, simulate_scenario_multi,

@@ -162,29 +162,26 @@ where
 /// plus one predictor's tables stay cache-resident.
 pub(crate) const MULTI_BLOCK_RECORDS: usize = 4096;
 
-/// Refills `block` (cleared first) with up to [`MULTI_BLOCK_RECORDS`]
-/// records from `stream`, accumulating the running instruction/record
-/// totals. Shared by both fused sweeps (plain and attributed) so the
-/// block protocol — fill size, counting, and the
+/// Refills `block` (cleared first) with up to 4096 records
+/// (`MULTI_BLOCK_RECORDS`) from `stream` in one
+/// [`BranchStream::fill_block`] call, accumulating the running
+/// instruction/record totals. Shared by every drive (plain, fused,
+/// attributed) so the block protocol — fill size, counting, and the
 /// empty/short-block termination the callers key off — cannot drift
 /// between them.
-pub(crate) fn fill_multi_block<S: BranchStream>(
+pub fn fill_multi_block<S: BranchStream>(
     stream: &mut S,
     block: &mut Vec<bp_trace::BranchRecord>,
     instructions: &mut u64,
     records: &mut u64,
 ) {
     block.clear();
-    while block.len() < MULTI_BLOCK_RECORDS {
-        match stream.next_record() {
-            Some(record) => {
-                *instructions += record.instructions();
-                *records += 1;
-                block.push(record);
-            }
-            None => break,
-        }
-    }
+    stream.fill_block(block, MULTI_BLOCK_RECORDS);
+    *records += block.len() as u64;
+    *instructions += block
+        .iter()
+        .map(bp_trace::BranchRecord::instructions)
+        .sum::<u64>();
 }
 
 /// Drives one predictor through one block of records with the CBP

@@ -22,7 +22,7 @@
 
 use crate::io_v2::V2Body;
 use crate::record::{BranchKind, BranchRecord};
-use crate::stream::BranchStream;
+use crate::stream::{fill_by_records, BranchStream};
 use crate::trace::Trace;
 use std::error::Error;
 use std::fmt;
@@ -356,6 +356,19 @@ impl<R: Read> BranchStream for TraceReader<R> {
                 self.error = Some(e);
                 None
             }
+        }
+    }
+
+    /// Copies whole slices out of the decoded v2 block instead of
+    /// handing records over one at a time; a mid-stream error ends the
+    /// block and is stashed for [`TraceReader::error`], exactly as in
+    /// `next_record`. v1 records are parsed one by one either way.
+    fn fill_block(&mut self, block: &mut Vec<BranchRecord>, max: usize) {
+        let Inner::V2(body) = &mut self.inner else {
+            return fill_by_records(self, block, max);
+        };
+        if let Err(e) = body.fill_block(block, max) {
+            self.error = Some(e);
         }
     }
 

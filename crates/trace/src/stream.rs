@@ -2,8 +2,9 @@
 //!
 //! [`BranchStream`] is the abstraction the simulator consumes: a named,
 //! ordered source of [`BranchRecord`]s that is pulled one record at a
-//! time, so producers (workload generators, on-disk trace readers) never
-//! have to materialize a whole `Vec<BranchRecord>`. A fully in-memory
+//! time, or a block at a time through [`BranchStream::fill_block`], so
+//! producers (workload generators, on-disk trace readers) never have to
+//! materialize a whole `Vec<BranchRecord>`. A fully in-memory
 //! [`Trace`](crate::Trace) is just one implementation, via
 //! [`Trace::stream`](crate::Trace::stream); the streaming reader over
 //! serialized trace files is another (`TraceReader` in this crate).
@@ -43,6 +44,19 @@ pub trait BranchStream {
     /// exhausted.
     fn next_record(&mut self) -> Option<BranchRecord>;
 
+    /// Appends up to `max` records to `block`: exactly the records
+    /// `max` calls to [`next_record`](Self::next_record) would yield.
+    /// Fewer than `max` are appended only when the stream is exhausted
+    /// (or, for a fallible source, has ended on an error), so a short
+    /// block marks the end of the stream.
+    ///
+    /// The default pulls record by record. Sources that already hold
+    /// records in memory override it to copy whole slices: the
+    /// simulator refills its blocks through this method.
+    fn fill_block(&mut self, block: &mut Vec<BranchRecord>, max: usize) {
+        fill_by_records(self, block, max);
+    }
+
     /// Bounds on the number of records still to come, mirroring
     /// [`Iterator::size_hint`].
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -71,6 +85,21 @@ pub trait BranchStream {
     }
 }
 
+/// [`BranchStream::fill_block`] by way of `max` calls to `next_record`:
+/// the default, and the fallback of overrides with nothing to copy.
+pub(crate) fn fill_by_records<S: BranchStream + ?Sized>(
+    stream: &mut S,
+    block: &mut Vec<BranchRecord>,
+    max: usize,
+) {
+    for _ in 0..max {
+        match stream.next_record() {
+            Some(record) => block.push(record),
+            None => break,
+        }
+    }
+}
+
 // A stream behind a mutable reference is still a stream (lets callers
 // pass `&mut s` without giving the stream away).
 impl<S: BranchStream + ?Sized> BranchStream for &mut S {
@@ -80,6 +109,10 @@ impl<S: BranchStream + ?Sized> BranchStream for &mut S {
 
     fn next_record(&mut self) -> Option<BranchRecord> {
         (**self).next_record()
+    }
+
+    fn fill_block(&mut self, block: &mut Vec<BranchRecord>, max: usize) {
+        (**self).fill_block(block, max);
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

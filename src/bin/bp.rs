@@ -6,10 +6,9 @@
 //!                               reference, exact storage)
 //! bp list benchmarks            list the 80 synthetic benchmarks
 //! bp list predictors            same as `bp list`
-//! bp generate <bench> <instr> <file> [--v1]
+//! bp generate <bench> <instr> <file>
 //!                               generate a benchmark trace to disk
-//!                               (format v2 streamed in O(1) memory by
-//!                               default; --v1 writes the legacy format)
+//!                               (format v2, streamed in O(1) memory)
 //! bp simulate <config> <bench-or-file> [instr]
 //!                               run one predictor over a benchmark name
 //!                               or a serialized trace file (v1 or v2)
@@ -97,7 +96,7 @@ use imli_repro::sim::{
     PredictorFamily, PredictorSpec, SimCache, TextTable, SCENARIO_NAMES, STANDARD_BUDGETS_KBIT,
     SWEEP_FAMILIES,
 };
-use imli_repro::trace::{read_trace, write_trace, Trace, TraceReader};
+use imli_repro::trace::{read_trace, Trace, TraceReader};
 use imli_repro::workloads::{
     cache_benchmark, cbp3_suite, cbp4_suite, find_benchmark, generate, suite_by_name,
 };
@@ -151,7 +150,7 @@ fn emit(args: fmt::Arguments<'_>, newline: bool) {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  bp list [benchmarks|predictors]\n  bp generate <bench> <instr> <file> [--v1]\n  \
+        "usage:\n  bp list [benchmarks|predictors]\n  bp generate <bench> <instr> <file>\n  \
          bp simulate <config> <bench-or-file> [instr]\n  bp profile <config> <bench> [instr] [top]\n  \
          bp compare <bench> [instr]\n  \
          bp grid <suite> [--jobs N] [--json] [--instr N] [--family F] [--predictors a,b,c] \
@@ -249,30 +248,16 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
             outln!("{table}");
             Ok(())
         }
-        ["generate", bench, instr, path] | ["generate", bench, instr, path, "--v1"] => {
-            if path == "--v1" {
-                // `bp generate <bench> <instr> --v1` with the output
-                // path forgotten would otherwise write a file literally
-                // named "--v1".
-                return Err("generate needs an output file path before --v1".to_owned());
-            }
-            let legacy_v1 = args.last().is_some_and(|a| a == "--v1");
+        ["generate", bench, instr, path] => {
             parse_u64(instr, "instruction count").and_then(|instructions| {
                 let spec = find_benchmark(bench).ok_or_else(|| {
                     format!("unknown benchmark {bench} (try `bp list benchmarks`)")
                 })?;
                 let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-                if legacy_v1 {
-                    let trace = generate(&spec, instructions);
-                    write_trace(BufWriter::new(file), &trace)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    outln!("wrote {trace} (format v1)");
-                } else {
-                    // v2 streams straight to disk: no materialized trace.
-                    let records = cache_benchmark(&spec, instructions, BufWriter::new(file))
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    outln!("wrote {} ({records} records, format v2)", spec.name);
-                }
+                // v2 streams straight to disk: no materialized trace.
+                let records = cache_benchmark(&spec, instructions, BufWriter::new(file))
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                outln!("wrote {} ({records} records, format v2)", spec.name);
                 Ok(())
             })
         }

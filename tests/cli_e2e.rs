@@ -1,7 +1,8 @@
 //! End-to-end checks of `bp`'s command-line contract: output to a
 //! closed pipe ends a command cleanly, a zero instruction budget is
 //! rejected with an error that names the flag or count, an instruction
-//! count given with a trace file is rejected, and an out-of-range
+//! count given with a trace file is rejected, a truncated trace file
+//! fails the run, `bp generate` writes v2 only, and an out-of-range
 //! config field is a typed error, never a panic.
 
 use std::path::PathBuf;
@@ -159,6 +160,48 @@ fn instruction_count_with_a_trace_file_is_a_typed_error() {
         assert!(out.stdout.is_empty(), "count {count}: printed a result");
         assert!(stderr.contains(error), "count {count}: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn truncated_trace_file_fails_the_simulation() {
+    let dir = scratch_dir("truncated");
+    let trace = dir.join("t.bptr");
+    let generated = bp()
+        .args(["generate", "SPEC2K6-04", "20000"])
+        .arg(&trace)
+        .output()
+        .expect("spawn bp");
+    assert!(generated.status.success());
+    let bytes = std::fs::read(&trace).expect("read trace");
+    // Without its last 5 bytes the terminator frame is cut short.
+    std::fs::write(&trace, &bytes[..bytes.len() - 5]).expect("truncate");
+    let out = bp()
+        .args(["simulate", "bimodal"])
+        .arg(&trace)
+        .output()
+        .expect("spawn bp");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "printed a result: {stderr}");
+    assert!(stderr.contains("error while streaming"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn generate_no_longer_writes_v1() {
+    let dir = scratch_dir("no-v1");
+    let trace = dir.join("t.bptr");
+    let out = bp()
+        .args(["generate", "SPEC2K6-04", "1000"])
+        .arg(&trace)
+        .arg("--v1")
+        .output()
+        .expect("spawn bp");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "--v1 was accepted: {stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(!trace.exists(), "a rejected generate wrote a file");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

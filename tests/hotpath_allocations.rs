@@ -9,7 +9,7 @@
 //! window of predict/update/notify calls must perform **zero**
 //! allocations for every predictor the acceptance criteria name.
 
-use imli_repro::sim::{drive_block, make_predictor, scenario_by_name};
+use imli_repro::sim::{drive_block, fill_multi_block, make_predictor, scenario_by_name};
 use imli_repro::workloads::{cbp4_suite, EventStream, ScenarioEvent};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -178,6 +178,50 @@ fn steady_state_predict_update_is_allocation_free() {
             "{name}: steady-state block drive allocated {} times",
             after - before,
         );
+    }
+
+    // The file-replay loop `bp simulate <file>` runs: a v2 reader
+    // refilling the simulator's block with one `fill_block` copy per
+    // block, then the block drive. The first block sizes the buffers
+    // (the reader's payload and decoded-record scratch, the drive's
+    // block); every later block must reuse them.
+    {
+        let mut trace = imli_repro::trace::Trace::with_capacity(spec.name.clone(), records.len());
+        for record in &records {
+            trace.push(*record);
+        }
+        let mut v2 = Vec::new();
+        imli_repro::trace::write_trace_v2(&mut v2, &trace).expect("serialize v2");
+        for name in ["bimodal", "gshare", "tage-sc-l+imli"] {
+            let mut predictor = make_predictor(name).expect("registered");
+            let mut reader = imli_repro::trace::TraceReader::new(v2.as_slice()).expect("v2 header");
+            let mut stats = imli_repro::components::PredictorStats::default();
+            let (mut block, mut instructions, mut replayed) = (Vec::new(), 0u64, 0u64);
+            fill_multi_block(&mut reader, &mut block, &mut instructions, &mut replayed);
+            drive_block(predictor.as_mut(), &block, &mut stats);
+
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let mut blocks = 0;
+            loop {
+                fill_multi_block(&mut reader, &mut block, &mut instructions, &mut replayed);
+                if block.is_empty() {
+                    break;
+                }
+                drive_block(predictor.as_mut(), &block, &mut stats);
+                blocks += 1;
+            }
+            let after = ALLOCATIONS.load(Ordering::Relaxed);
+
+            assert!(reader.error().is_none(), "{name}: {:?}", reader.error());
+            assert_eq!(replayed, records.len() as u64, "{name}: records lost");
+            assert!(blocks >= 10, "{name}: the window spans many blocks");
+            assert_eq!(
+                after - before,
+                0,
+                "{name}: file replay allocated {} times over {blocks} blocks",
+                after - before,
+            );
+        }
     }
 
     // The fused-column drives with both kinds of shared group: a TAGE

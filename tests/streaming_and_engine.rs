@@ -4,11 +4,18 @@
 //! * streamed generation + simulation is *bit-identical* to the
 //!   materialized path, for hosts of every family;
 //! * `Engine::run_grid` returns the identical grid regardless of
-//!   worker count.
+//!   worker count;
+//! * `BranchStream::fill_block` hands over exactly the `next_record`
+//!   sequence, in any block size and mixed with `next_record`, for
+//!   every stream kind, and a truncated v2 file ends in its decoded
+//!   prefix plus an error.
 
 use imli_repro::sim::{lookup, make_predictor, simulate, simulate_stream, Engine, PredictorSpec};
+use imli_repro::trace::{
+    write_trace, write_trace_v2, BlockWriter, BranchRecord, BranchStream, TraceReader,
+};
 use imli_repro::workloads::{
-    cbp4_suite, generate, stream_benchmark, BenchmarkSpec, KernelSpec, TripCount,
+    cbp4_suite, find_benchmark, generate, stream_benchmark, BenchmarkSpec, KernelSpec, TripCount,
 };
 use proptest::prelude::*;
 
@@ -135,5 +142,157 @@ fn engine_grid_matches_sequential_suite_runs() {
         let suite = imli_repro::sim::run_suite(&|| spec.make(), &benchmarks, 40_000);
         let row = grid.suite_result(&spec.name).expect("row exists");
         assert_eq!(suite.rows, row.rows, "{}", spec.name);
+    }
+}
+
+/// Block sizes around the simulator's 4096-record block and the v2
+/// frame size (also 4096), plus sizes that straddle frames unevenly.
+const FILL_SIZES: [usize; 5] = [1, 7, 4095, 4096, 4097];
+
+/// Drains `stream` with `fill_block(max)` alone, checking that every
+/// block but the last is full and that a short block is the end.
+fn drain_by_blocks<S: BranchStream>(mut stream: S, max: usize) -> Vec<BranchRecord> {
+    let mut out = Vec::new();
+    loop {
+        let before = out.len();
+        stream.fill_block(&mut out, max);
+        let added = out.len() - before;
+        assert!(added <= max, "fill_block({max}) appended {added}");
+        if added < max {
+            break;
+        }
+    }
+    let end = out.len();
+    stream.fill_block(&mut out, max);
+    assert_eq!(out.len(), end, "records after a short block");
+    assert!(
+        stream.next_record().is_none(),
+        "records after a short block"
+    );
+    out
+}
+
+/// Drains `stream` alternating one `next_record` with one
+/// `fill_block(max)`.
+fn drain_mixed<S: BranchStream>(mut stream: S, max: usize) -> Vec<BranchRecord> {
+    let mut out = Vec::new();
+    while let Some(record) = stream.next_record() {
+        out.push(record);
+        let before = out.len();
+        stream.fill_block(&mut out, max);
+        if out.len() - before < max {
+            assert!(
+                stream.next_record().is_none(),
+                "records after a short block"
+            );
+            break;
+        }
+    }
+    out
+}
+
+fn drain_by_records<S: BranchStream>(mut stream: S) -> Vec<BranchRecord> {
+    std::iter::from_fn(|| stream.next_record()).collect()
+}
+
+/// Checks the `fill_block` contract on fresh streams from `make`, also
+/// through `&mut S`, and runs `clean` on each drained stream.
+fn check_fill_block<S: BranchStream>(
+    what: &str,
+    make: impl Fn() -> S,
+    expected: &[BranchRecord],
+    clean: impl Fn(&S),
+) {
+    assert_eq!(drain_by_records(make()), expected, "{what}: next_record");
+    for max in FILL_SIZES {
+        let mut stream = make();
+        assert_eq!(
+            drain_by_blocks(&mut stream, max),
+            expected,
+            "{what}: fill_block({max}) through &mut"
+        );
+        clean(&stream);
+        let mut stream = make();
+        assert_eq!(
+            drain_mixed(&mut stream, max),
+            expected,
+            "{what}: next_record mixed with fill_block({max})"
+        );
+        clean(&stream);
+        assert_eq!(
+            drain_by_blocks(make(), max),
+            expected,
+            "{what}: fill_block({max})"
+        );
+    }
+}
+
+#[test]
+fn fill_block_hands_over_the_next_record_sequence_for_every_stream() {
+    let spec = find_benchmark("SPEC2K6-04").expect("catalogue benchmark");
+    let instructions = 120_000;
+    let trace = generate(&spec, instructions);
+    assert!(trace.len() > 3 * 4096, "several v2 frames");
+    let expected = trace.records();
+
+    let mut v1 = Vec::new();
+    write_trace(&mut v1, &trace).expect("v1");
+    let mut v2 = Vec::new();
+    write_trace_v2(&mut v2, &trace).expect("v2");
+    let mut v2_streamed = Vec::new();
+    let mut writer = BlockWriter::new(&mut v2_streamed, trace.name()).expect("v2 writer");
+    for record in trace.iter() {
+        writer.push(record).expect("push");
+    }
+    writer.finish().expect("finish");
+
+    let reader_clean = |r: &TraceReader<&[u8]>| assert!(r.error().is_none(), "{:?}", r.error());
+    for (what, bytes) in [
+        ("v1 file", &v1),
+        ("v2 file, declared count", &v2),
+        ("v2 file, unknown count", &v2_streamed),
+    ] {
+        let make = || TraceReader::new(bytes.as_slice()).expect("header");
+        check_fill_block(what, make, expected, reader_clean);
+    }
+    check_fill_block(
+        "benchmark stream",
+        || spec.stream(instructions),
+        expected,
+        |_| {},
+    );
+    check_fill_block("trace stream", || trace.stream(), expected, |_| {});
+}
+
+#[test]
+fn truncated_v2_file_fills_its_decoded_prefix_then_errors() {
+    let spec = find_benchmark("SPEC2K6-04").expect("catalogue benchmark");
+    let trace = generate(&spec, 120_000);
+    let mut v2 = Vec::new();
+    write_trace_v2(&mut v2, &trace).expect("v2");
+    // Cut inside a data frame, well before the terminator.
+    let cut = &v2[..v2.len() / 2];
+
+    let mut reader = TraceReader::new(cut).expect("header");
+    let prefix = drain_by_records(&mut reader);
+    assert!(reader.error().is_some(), "truncation must be reported");
+    assert!(!prefix.is_empty() && prefix.len() < trace.len());
+    assert_eq!(prefix.len() % 4096, 0, "the prefix is whole frames");
+    assert_eq!(prefix, trace.records()[..prefix.len()]);
+
+    for max in FILL_SIZES {
+        let mut reader = TraceReader::new(cut).expect("header");
+        assert_eq!(
+            drain_by_blocks(&mut reader, max),
+            prefix,
+            "fill_block({max})"
+        );
+        assert!(
+            reader.error().is_some(),
+            "fill_block({max}): truncation lost"
+        );
+        let mut reader = TraceReader::new(cut).expect("header");
+        assert_eq!(drain_mixed(&mut reader, max), prefix, "mixed, {max}");
+        assert!(reader.error().is_some(), "mixed, {max}: truncation lost");
     }
 }
